@@ -65,14 +65,6 @@ class ProjectorPartition:
         return int(self._level_to_bin[level])
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Index of the projector that fired; equals the photon number for fine
-    partitions."""
-
-    bin_index: int
-
-
 def _check_truncation(pop: PopulationVector, partition: ProjectorPartition) -> None:
     if pop.truncation != partition.truncation:
         raise ValueError(
@@ -115,12 +107,13 @@ def luders_collapse(pop: PopulationVector, partition: ProjectorPartition, j: int
 
 def sample_outcome(
     pop: PopulationVector, partition: ProjectorPartition, rng: np.random.Generator
-) -> MeasurementOutcome:
-    """Draw one outcome with the probabilities of :func:`outcome_probabilities`.
+) -> int:
+    """Draw one bin index with the probabilities of :func:`outcome_probabilities`
+    (the photon number for fine partitions).
 
     Consumes exactly one uniform variate from ``rng``; the draw is the
     right-sided bisection of that uniform into the cumulative bin weights.
     """
     cum = np.cumsum(outcome_probabilities(pop, partition))
     j = int(np.searchsorted(cum, rng.random(), side="right"))
-    return MeasurementOutcome(min(j, partition.n_bins - 1))
+    return min(j, partition.n_bins - 1)

@@ -12,22 +12,22 @@ Two independently built engines realize the same stochastic process:
 Their statistical agreement is itself one of the package's deliverable
 checks.  Reproducibility contract: trajectory i of an ensemble draws from a
 private stream derived as ``SeedSequence((master_seed, i))`` feeding PCG64
-(see :data:`SEED_DERIVATION`), so ensembles are bit-stable under any
-execution order or degree of parallelism.
+(see :data:`SEED_DERIVATION`), and no trajectory's arithmetic depends on the
+others in its batch, so an ensemble split into ``first_index`` shards
+concatenates bit-identically to the unsplit run.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BathParams, PopulationVector, build_generator, pure_level
-from .dynamics import propagate, transition_matrix, two_level_population
-from .measurement import ProjectorPartition, luders_collapse, sample_outcome
+from .dynamics import transition_matrix, two_level_population
+from .measurement import ProjectorPartition, ZeroProbabilityError
 
 # Documented stream-derivation mixer; echoed in CLI output metadata.
 SEED_DERIVATION = "numpy SeedSequence((master_seed, trajectory_index)) -> PCG64"
@@ -112,6 +112,11 @@ def _initial_level(pop: PopulationVector) -> int | None:
     return int(nz[0]) if nz.size == 1 else None
 
 
+def _outcome_dtype(n_bins: int) -> type:
+    """int16 whenever it holds every bin index, else int32."""
+    return np.int16 if n_bins <= np.iinfo(np.int16).max + 1 else np.int32
+
+
 def run_trajectory_luders(
     params: BathParams,
     schedule: MeasurementSchedule,
@@ -119,27 +124,15 @@ def run_trajectory_luders(
     truncation: int,
     seed_pair: tuple[int, int],
 ) -> MeasurementRecord:
-    """One trajectory of the measurement-theoretic loop.
+    """One trajectory of the measurement-theoretic loop: the ensemble of one
+    trajectory ``seed_pair[1]`` under master seed ``seed_pair[0]``.
 
     Each step relaxes the current state by ``dt`` (exact chain), samples a
     bin from the relaxed state, and applies the Lüders collapse for that
     outcome.  Fully deterministic given ``seed_pair``.
     """
-    pop = _as_population(initial, truncation)
-    if schedule.partition.truncation != truncation:
-        raise ValueError("partition truncation mismatch")
-    gen = build_generator(params, truncation)
-    rng = trajectory_rng(*seed_pair)
-    outcomes = np.empty(schedule.steps, dtype=np.int16)
-    state = pop
-    for i in range(schedule.steps):
-        relaxed = propagate(gen, state, schedule.dt)
-        result = sample_outcome(relaxed, schedule.partition, rng)
-        state = luders_collapse(relaxed, schedule.partition, result.bin_index)
-        outcomes[i] = result.bin_index
-    return MeasurementRecord(
-        schedule, _initial_level(pop), outcomes, seed_pair[0], seed_pair[1], "luders"
-    )
+    master_seed, index = seed_pair
+    return run_ensemble(params, schedule, initial, truncation, 1, master_seed, first_index=index)[0]
 
 
 def run_trajectory_gillespie(
@@ -186,7 +179,7 @@ def run_trajectory_gillespie(
     sample_times = schedule.dt * np.arange(1, schedule.steps + 1)
     # paths are right-continuous: a sample at a jump instant sees the new level
     segment = np.searchsorted(np.asarray(jump_times), sample_times, side="right")
-    outcomes = np.asarray(levels, dtype=np.int16)[segment]
+    outcomes = np.asarray(levels, dtype=_outcome_dtype(truncation + 1))[segment]
     return MeasurementRecord(
         schedule, int(initial_level), outcomes, seed_pair[0], seed_pair[1], "gillespie"
     )
@@ -234,46 +227,74 @@ def zeno_times(params: BathParams) -> ZenoReport:
     return ZenoReport(tau, tau_0, tau_1, tau_0 / tau, tau_1 / tau)
 
 
-def _run_luders_fine_ensemble(
+def _luders_outcomes(
     params: BathParams,
     schedule: MeasurementSchedule,
-    initial: PopulationVector,
-    truncation: int,
+    pop: PopulationVector,
     n_traj: int,
     master_seed: int,
     first_index: int,
-) -> list[MeasurementRecord]:
-    """Vectorized Lüders ensemble for fine partitions.
+) -> np.ndarray:
+    """Outcomes ``(n_traj, steps)`` of the measurement loop for trajectories
+    ``first_index ..``: relax by ``dt``, sample a bin, Lüders collapse.
 
-    After a fine-partition collapse the state is exactly a pure level, so the
-    trajectory is a discrete-time chain whose kernel columns are those of the
-    cached transition matrix; stepping all trajectories in lockstep is then
-    bit-identical to the per-trajectory loop (same floats, same uniform
-    stream, same bisection) at a fraction of the cost.
+    Sampling is the right-sided bisection of each step's uniform into the
+    cumulative bin masses.  A row's floats never depend on the other rows:
+    relaxation is a fixed-order sum over columns, not a BLAS product whose
+    blocking may vary with the batch size, so a trajectory's outcomes do not
+    depend on the batch it runs in.
     """
-    gen = build_generator(params, truncation)
-    tmat = transition_matrix(gen, schedule.dt)
-    n_levels = truncation + 1
-    # per-level cumulative outcome weights, as rows for contiguous gathering
-    cum_rows = np.ascontiguousarray(np.cumsum(tmat, axis=0).T)
-    cum_first = np.cumsum(tmat @ initial.weights)
+    partition = schedule.partition
+    n_levels, n_bins = pop.truncation + 1, partition.n_bins
+    tmat = transition_matrix(build_generator(params, pop.truncation), schedule.dt)
     uniforms = np.empty((n_traj, schedule.steps))
     for i in range(n_traj):
         uniforms[i] = trajectory_rng(master_seed, first_index + i).random(schedule.steps)
-    outcomes = np.empty((n_traj, schedule.steps), dtype=np.int16)
-    state = np.minimum(
-        np.searchsorted(cum_first, uniforms[:, 0], side="right"), n_levels - 1
-    )
-    outcomes[:, 0] = state
-    for step in range(1, schedule.steps):
-        counts = (cum_rows[state] <= uniforms[:, step][:, None]).sum(axis=1)
-        state = np.minimum(counts, n_levels - 1)
-        outcomes[:, step] = state
-    level = _initial_level(initial)
-    return [
-        MeasurementRecord(schedule, level, outcomes[i], master_seed, first_index + i, "luders")
-        for i in range(n_traj)
-    ]
+
+    if partition.is_fine:
+        # A fine collapse leaves a pure level, so the state is that level and
+        # its relaxed cumulative weights are a row of a table; the last row
+        # holds the relaxed initial state.
+        table = np.vstack([np.cumsum(tmat, axis=0).T, np.cumsum(tmat @ pop.weights)])
+        state = np.full(n_traj, n_levels)
+
+        def advance(levels):
+            return table[levels], None
+
+        def collapse(_, outcome):
+            return outcome
+
+    else:
+        # The state is an (n_traj, L) weight array.
+        columns = tmat.T
+        level_bin = np.array([partition.bin_of(n) for n in range(n_levels)])
+        state = np.broadcast_to(pop.weights, (n_traj, n_levels))
+
+        def advance(weights):
+            relaxed = np.zeros((n_traj, n_levels))
+            for j in range(n_levels):
+                relaxed += weights[:, j, None] * columns[j]
+            masses = np.zeros((n_traj, n_bins))
+            for n, b in enumerate(level_bin):
+                masses[:, b] += relaxed[:, n]
+            return np.cumsum(masses, axis=1), (relaxed, masses)
+
+        def collapse(relaxed_masses, outcome):
+            relaxed, masses = relaxed_masses
+            mass = masses[np.arange(n_traj), outcome]
+            if not mass.all():
+                raise ZeroProbabilityError("a sampled outcome has zero probability")
+            inside = level_bin == outcome[:, None]
+            return np.where(inside, relaxed / mass[:, None], 0.0)
+
+    outcomes = np.empty((n_traj, schedule.steps), dtype=_outcome_dtype(n_bins))
+    for step in range(schedule.steps):
+        cum, relaxed = advance(state)
+        outcome = np.minimum((cum <= uniforms[:, step, None]).sum(axis=1), n_bins - 1)
+        state = collapse(relaxed, outcome)
+        outcomes[:, step] = outcome
+        del cum, relaxed  # batch-sized; freed before the next step allocates its own
+    return outcomes
 
 
 def run_ensemble(
@@ -284,39 +305,35 @@ def run_ensemble(
     n_traj: int,
     master_seed: int,
     engine: str = "luders",
-    workers: int = 1,
     first_index: int = 0,
 ) -> list[MeasurementRecord]:
     """Independent trajectories ``first_index .. first_index + n_traj - 1``.
 
-    The result depends only on (params, schedule, initial, seeds): trajectory
-    streams are derived per index, records are collected by index, and the
-    fine-partition Lüders path is vectorized, so any ``workers`` value yields
-    bit-identical output.
+    The result depends only on (params, schedule, initial, seeds): each
+    trajectory draws from its own stream and no trajectory's arithmetic
+    depends on another's, so the ensemble split at any ``first_index`` and
+    concatenated is bit-identical to the unsplit run.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     if engine not in ("luders", "gillespie"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "luders":
-        pop = _as_population(initial, truncation)
-        if schedule.partition.is_fine:
-            return _run_luders_fine_ensemble(
-                params, schedule, pop, truncation, n_traj, master_seed, first_index
-            )
-        run_one = lambda i: run_trajectory_luders(params, schedule, pop, truncation, (master_seed, i))
-        transition_matrix(build_generator(params, truncation), schedule.dt)  # warm cache
-    else:
-        if isinstance(initial, PopulationVector):
-            level = _initial_level(initial)
-            if level is None:
-                raise ValueError("the jump engine needs a definite initial level")
-            initial = level
-        run_one = lambda i: run_trajectory_gillespie(
-            params, schedule, int(initial), truncation, (master_seed, i)
-        )
+    if schedule.partition.truncation != truncation:
+        raise ValueError("partition truncation mismatch")
     indices = range(first_index, first_index + n_traj)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, indices))
-    return [run_one(i) for i in indices]
+    if engine == "gillespie":
+        if isinstance(initial, PopulationVector):
+            initial = _initial_level(initial)
+            if initial is None:
+                raise ValueError("the jump engine needs a definite initial level")
+        return [
+            run_trajectory_gillespie(params, schedule, int(initial), truncation, (master_seed, i))
+            for i in indices
+        ]
+    pop = _as_population(initial, truncation)
+    outcomes = _luders_outcomes(params, schedule, pop, n_traj, master_seed, first_index)
+    level = _initial_level(pop)
+    return [
+        MeasurementRecord(schedule, level, row, master_seed, i, "luders")
+        for i, row in zip(indices, outcomes)
+    ]

@@ -398,8 +398,21 @@ def check_ac7(shared: _Shared, cases: int = 100) -> CriterionResult:
     return CriterionResult("AC7 invariant property suite", ok, tuple(details))
 
 
+def _shards_concatenate(params, schedule, truncation, n, seed, engine) -> bool:
+    """Whether trajectories 0..n/2 and n/2..n, run apart, are bit-identical
+    to trajectories 0..n run as one ensemble."""
+    whole = run_ensemble(params, schedule, 0, truncation, n, seed, engine=engine)
+    k = n // 2
+    low = run_ensemble(params, schedule, 0, truncation, k, seed, engine=engine)
+    high = run_ensemble(params, schedule, 0, truncation, n - k, seed, engine=engine, first_index=k)
+    return all(
+        a.trajectory_index == b.trajectory_index and np.array_equal(a.outcomes, b.outcomes)
+        for a, b in zip(whole, low + high, strict=True)
+    )
+
+
 def check_ac8(shared: _Shared, earlier: list[CriterionResult]) -> CriterionResult:
-    """Byte-identical reruns and parallelism-independence."""
+    """Byte-identical reruns and independence of ``first_index`` sharding."""
     from . import cli  # deferred: cli imports this module for the validate command
 
     config, params = shared.config, shared.params
@@ -421,24 +434,21 @@ def check_ac8(shared: _Shared, earlier: list[CriterionResult]) -> CriterionResul
         ok &= same
         details.append(f"{name} output byte-identical across reruns: {same}")
 
-    schedule = MeasurementSchedule(config.dt, 200, ProjectorPartition.fine(config.trunc))
-    serial = run_ensemble(params, schedule, 0, config.trunc, 400, config.seed, engine="gillespie")
-    threaded = run_ensemble(
-        params, schedule, 0, config.trunc, 400, config.seed, engine="gillespie", workers=4
+    trunc = config.trunc
+    fine = MeasurementSchedule(config.dt, 200, ProjectorPartition.fine(trunc))
+    coarse = MeasurementSchedule(
+        config.dt, 40, ProjectorPartition(trunc, ((0,), tuple(range(1, trunc + 1))))
     )
-    same = all(np.array_equal(a.outcomes, b.outcomes) for a, b in zip(serial, threaded))
-    ok &= same
-    details.append(f"jump-engine ensemble independent of worker count: {same}")
+    for name, schedule, n, engine in (
+        ("jump-engine", fine, 400, "gillespie"),
+        ("fine measurement-loop", fine, 400, "luders"),
+        ("coarse measurement-loop", coarse, 60, "luders"),
+    ):
+        same = _shards_concatenate(params, schedule, trunc, n, config.seed, engine)
+        ok &= same
+        details.append(f"{name} ensemble split by first_index concatenates bit-identically: {same}")
 
-    coarse = ProjectorPartition(config.trunc, ((0,), tuple(range(1, config.trunc + 1))))
-    sched_c = MeasurementSchedule(config.dt, 40, coarse)
-    serial = run_ensemble(params, sched_c, 0, config.trunc, 60, config.seed, workers=1)
-    threaded = run_ensemble(params, sched_c, 0, config.trunc, 60, config.seed, workers=4)
-    same = all(np.array_equal(a.outcomes, b.outcomes) for a, b in zip(serial, threaded))
-    ok &= same
-    details.append(f"measurement-loop ensemble independent of worker count: {same}")
-
-    return CriterionResult("AC8 determinism and parallelism independence", ok, tuple(details))
+    return CriterionResult("AC8 determinism and shard independence", ok, tuple(details))
 
 
 ALL_CHECKS = (check_ac1, check_ac2, check_ac3, check_ac4, check_ac5, check_ac6, check_ac7)

@@ -69,17 +69,28 @@ class TestBathParams:
 
     def test_rejects_inverted_rates(self):
         with pytest.raises(ValueError):
-            BathParams(math.log(2.0), 2.0, 1.0)
-
-    def test_rejects_detailed_balance_violation(self):
+            BathParams(2.0, 1.0)
         with pytest.raises(ValueError):
-            BathParams(math.log(2.0), 0.3, 1.0)
+            BathParams(1.0, 1.0)
+        with pytest.raises(ValueError):
+            BathParams(-0.1, 1.0)
+        with pytest.raises(ValueError):
+            BathParams(0.1, math.inf)
+
+    def test_ratio_derived_from_rates(self):
+        params = BathParams(0.3, 1.0)
+        assert params.boltzmann_ratio == math.log(1.0 / 0.3)
+        assert params.n_thermal == pytest.approx(1.0 / math.expm1(params.boltzmann_ratio), rel=1e-12)
 
     def test_zero_emission_bypass(self):
         params = BathParams.zero_emission(1.1)
+        assert params == BathParams(0.0, 1.1)
         assert params.emission_rate == 0.0
         assert params.gamma == 1.1
         assert params.n_thermal == 0.0
+        assert params.boltzmann_ratio == math.inf
+        with pytest.raises(ValueError):
+            BathParams.zero_emission(0.0)
 
 
 class TestPopulationVector:

@@ -134,21 +134,22 @@ class TestSampleOutcome:
         rng = np.random.default_rng(0)
         part = ProjectorPartition.fine(1)
         for _ in range(50):
-            assert sample_outcome(pure_level(1, 1), part, rng).bin_index == 1
-            assert sample_outcome(pure_level(0, 1), part, rng).bin_index == 0
+            assert sample_outcome(pure_level(1, 1), part, rng) == 1
+            assert sample_outcome(pure_level(0, 1), part, rng) == 0
+        assert type(sample_outcome(pure_level(0, 1), part, rng)) is int
 
     def test_empirical_frequency_matches_binomial_oracle(self):
         rng = np.random.default_rng(1234)
         state = pop(0.9, 0.1)
         part = ProjectorPartition.fine(1)
         draws = 100_000
-        ones = sum(sample_outcome(state, part, rng).bin_index for _ in range(draws))
+        ones = sum(sample_outcome(state, part, rng) for _ in range(draws))
         tolerance = 3.0 * np.sqrt(0.9 * 0.1 / draws)
         assert abs(ones / draws - 0.1) <= tolerance
 
     def test_reproducible_for_fixed_stream(self):
         part = ProjectorPartition(3, ((0, 1), (2, 3)))
         state = pop(0.3, 0.2, 0.4, 0.1)
-        a = [sample_outcome(state, part, np.random.default_rng(7)).bin_index for _ in range(5)]
-        b = [sample_outcome(state, part, np.random.default_rng(7)).bin_index for _ in range(5)]
+        a = [sample_outcome(state, part, np.random.default_rng(7)) for _ in range(5)]
+        b = [sample_outcome(state, part, np.random.default_rng(7)) for _ in range(5)]
         assert a == b

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qndsim.core import BathParams, bath_from_gamma, pure_level, thermal_populations
-from qndsim.dynamics import two_level_population
-from qndsim.measurement import ProjectorPartition
+from qndsim import protocol
+from qndsim.core import BathParams, bath_from_gamma, build_generator, pure_level, thermal_populations
+from qndsim.dynamics import propagate, transition_matrix, two_level_population
+from qndsim.measurement import ProjectorPartition, ZeroProbabilityError, luders_collapse, sample_outcome
 from qndsim.protocol import (
     MeasurementSchedule,
     ZenoDomainWarning,
@@ -16,10 +17,30 @@ from qndsim.protocol import (
     run_trajectory_luders,
     survival_exponential,
     survival_product,
+    trajectory_rng,
     zeno_times,
 )
 
 PARAMS = bath_from_gamma(1.0, 0.1)
+
+
+def coarse_partition(truncation):
+    """{0} | {1..N}: did the mode stay empty?"""
+    return ProjectorPartition(truncation, ((0,), tuple(range(1, truncation + 1))))
+
+
+def reference_loop(params, schedule, initial, truncation, seed_pair):
+    """Oracle: the measurement loop written out with the public primitives,
+    relax -> sample -> collapse, one step at a time."""
+    gen = build_generator(params, truncation)
+    rng = trajectory_rng(*seed_pair)
+    state, outcomes = initial, []
+    for _ in range(schedule.steps):
+        relaxed = propagate(gen, state, schedule.dt)
+        j = sample_outcome(relaxed, schedule.partition, rng)
+        state = luders_collapse(relaxed, schedule.partition, j)
+        outcomes.append(j)
+    return np.array(outcomes)
 
 
 def two_level_stay_probability(params, level, dt):
@@ -83,6 +104,33 @@ class TestLudersEngine:
         for step in range(5):
             assert abs(outcomes[:, step].mean() - pi1) <= band
 
+    def test_coarse_marginals_match_exact_chain(self):
+        # averaged over outcomes a Lüders update returns the relaxed state,
+        # so the bin-0 marginal after m readouts is exactly (T^m e_0)[0]
+        trunc, dt, steps, n = 10, 0.1, 50, 4000
+        params = bath_from_gamma(1.0, 0.3)
+        sched = MeasurementSchedule(dt, steps, coarse_partition(trunc))
+        outcomes = np.stack([r.outcomes for r in run_ensemble(params, sched, 0, trunc, n, 8)])
+        tmat = transition_matrix(build_generator(params, trunc), dt)
+        state = pure_level(0, trunc).weights
+        for m in range(steps):
+            state = tmat @ state
+            exact = state[0]
+            freq = np.mean(outcomes[:, m] == 0)
+            assert abs(freq - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / n)
+
+    def test_zero_probability_outcome_raises(self, monkeypatch):
+        # a uniform above the column mass (1 - Poisson tail) clamps into the
+        # last bin, which holds no mass when the bath cannot excite level 0
+        class TopUniform:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(protocol, "trajectory_rng", lambda *seeds: TopUniform())
+        sched = MeasurementSchedule(0.5, 3, coarse_partition(3))
+        with pytest.raises(ZeroProbabilityError):
+            run_ensemble(BathParams.zero_emission(1.1), sched, 0, 3, 2, 0)
+
     def test_survival_fraction_near_product_prediction(self):
         sched = MeasurementSchedule(0.01, 100, ProjectorPartition.fine(1))
         n = 20_000
@@ -112,6 +160,16 @@ class TestGillespieEngine:
         # once absorbed it never leaves
         first_zero = int(np.argmax(rec.outcomes == 0))
         assert not rec.outcomes[first_zero:].any()
+
+    def test_outcomes_hold_levels_beyond_int16(self):
+        sched = MeasurementSchedule(1e-4, 5, ProjectorPartition.fine(40_000))
+        rec = run_trajectory_gillespie(PARAMS, sched, 33_000, 40_000, (0, 0))
+        assert np.all(np.abs(rec.outcomes.astype(int) - 33_000) <= 100)
+
+    def test_small_partitions_keep_int16_outcomes(self):
+        sched = MeasurementSchedule(0.1, 5, ProjectorPartition.fine(40))
+        for engine in ("luders", "gillespie"):
+            assert run_ensemble(PARAMS, sched, 0, 40, 2, 0, engine=engine)[0].outcomes.dtype == np.int16
 
     def test_single_step_occupation_matches_chain_oracle(self):
         dt = 0.4
@@ -220,15 +278,22 @@ class TestEnsemble:
         single = run_trajectory_luders(PARAMS, sched, 0, 1, (11, 0))
         assert np.array_equal(ens[0].outcomes, single.outcomes)
 
-    def test_vectorized_path_matches_trajectory_loop(self):
-        # the fine-partition fast path must be bit-identical to the honest
-        # propagate -> sample -> collapse loop, trajectory by trajectory
-        sched = MeasurementSchedule(0.3, 40, ProjectorPartition.fine(3))
-        initial = thermal_populations(PARAMS, 3)
-        ens = run_ensemble(PARAMS, sched, initial, 3, 12, 42)
+    @pytest.mark.parametrize(
+        "partition,initial",
+        [
+            (ProjectorPartition.fine(3), thermal_populations(PARAMS, 3)),
+            (ProjectorPartition(5, ((0, 1), (2, 3), (4, 5))), thermal_populations(bath_from_gamma(1.0, 0.8), 5)),
+            (coarse_partition(20), 0),
+        ],
+        ids=["fine", "block", "coarse"],
+    )
+    def test_engine_matches_reference_loop(self, partition, initial):
+        trunc = partition.truncation
+        sched = MeasurementSchedule(0.3, 40, partition)
+        ens = run_ensemble(PARAMS, sched, initial, trunc, 12, 42)
+        start = pure_level(initial, trunc) if isinstance(initial, int) else initial
         for i, rec in enumerate(ens):
-            single = run_trajectory_luders(PARAMS, sched, initial, 3, (42, i))
-            assert np.array_equal(rec.outcomes, single.outcomes)
+            assert np.array_equal(rec.outcomes, reference_loop(PARAMS, sched, start, trunc, (42, i)))
 
     def test_same_master_seed_is_bit_identical(self):
         sched = MeasurementSchedule(0.05, 50, ProjectorPartition.fine(1))
@@ -248,11 +313,31 @@ class TestEnsemble:
         assert len(sequences) == 100
         assert [r.trajectory_index for r in high] == list(range(50, 100))
 
-    def test_workers_do_not_change_results(self):
-        sched = MeasurementSchedule(0.05, 100, ProjectorPartition.fine(1))
-        serial = run_ensemble(PARAMS, sched, 0, 1, 40, 5, engine="gillespie", workers=1)
-        threaded = run_ensemble(PARAMS, sched, 0, 1, 40, 5, engine="gillespie", workers=4)
-        assert all(np.array_equal(a.outcomes, b.outcomes) for a, b in zip(serial, threaded))
+    @pytest.mark.parametrize(
+        "partition,engine",
+        [
+            (ProjectorPartition.fine(4), "gillespie"),
+            (ProjectorPartition.fine(4), "luders"),
+            (coarse_partition(4), "luders"),
+        ],
+        ids=["gillespie", "fine", "coarse"],
+    )
+    def test_first_index_split_concatenates(self, partition, engine):
+        # trajectories 0..k and k..n run apart equal 0..n run at once, bit for bit
+        sched = MeasurementSchedule(0.2, 60, partition)
+        whole = run_ensemble(PARAMS, sched, 1, 4, 70, 5, engine=engine)
+        low = run_ensemble(PARAMS, sched, 1, 4, 23, 5, engine=engine)
+        high = run_ensemble(PARAMS, sched, 1, 4, 47, 5, engine=engine, first_index=23)
+        assert [r.trajectory_index for r in low + high] == list(range(70))
+        assert all(np.array_equal(a.outcomes, b.outcomes) for a, b in zip(whole, low + high))
+
+    @pytest.mark.parametrize("engine", ["luders", "gillespie"])
+    def test_rejects_partition_truncation_mismatch(self, engine):
+        sched = MeasurementSchedule(0.01, 20, ProjectorPartition.fine(3))
+        with pytest.raises(ValueError, match="partition truncation"):
+            run_ensemble(PARAMS, sched, 0, 5, 100, 0, engine=engine)
+        with pytest.raises(ValueError, match="partition truncation"):
+            run_trajectory_luders(PARAMS, sched, 0, 5, (0, 0))
 
     def test_rejects_bad_engine_and_size(self):
         sched = MeasurementSchedule(0.05, 5, ProjectorPartition.fine(1))
