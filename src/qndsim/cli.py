@@ -5,7 +5,9 @@ echoes its configuration (and the random-stream derivation) as ``#``-prefixed
 metadata lines ahead of any CSV header, and formats numbers with the shortest
 round-trip decimal representation so identical runs produce byte-identical
 output.  Exit codes: 0 success, 1 usage/configuration error, 2 validation or
-statistical failure.
+statistical failure (a failed criterion, a decay fit that fails, or a sampled
+outcome of zero probability).  Any other exception is a bug and propagates
+with its traceback.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .core import build_generator, mean_photon, pure_level, thermal_populations
 from .dynamics import mean_relaxation, transition_matrix
-from .measurement import ProjectorPartition
+from .measurement import ProjectorPartition, ZeroProbabilityError
 from .protocol import (
     SEED_DERIVATION,
     MeasurementSchedule,
@@ -29,7 +31,7 @@ from .protocol import (
     survival_product,
     zeno_times,
 )
-from .stats import SurvivalCurve, dwell_statistics, estimate_survival, fit_decay
+from .stats import FitError, SurvivalCurve, dwell_statistics, estimate_survival, fit_decay
 
 ZENO_SWEEP = (0.1, 0.01, 0.001)
 
@@ -96,10 +98,10 @@ def cmd_relax(config: RunConfig) -> str:
 def cmd_survival(config: RunConfig) -> str:
     params = config.bath()
     schedule = MeasurementSchedule(config.dt, config.steps, ProjectorPartition.fine(config.trunc))
-    records = run_ensemble(
+    ensemble = run_ensemble(
         params, schedule, 0, config.trunc, config.traj, config.seed, engine=config.engine
     )
-    curve = estimate_survival(records, 0)
+    curve = estimate_survival(ensemble, 0)
     rows = []
     for k in range(1, config.steps + 1):
         t = k * config.dt
@@ -122,10 +124,8 @@ def cmd_dwell(config: RunConfig) -> tuple[str, str]:
     text and the comparison CSV."""
     params = config.bath()
     schedule = MeasurementSchedule(config.dt, config.traj, ProjectorPartition.fine(config.trunc))
-    records = run_ensemble(
-        params, schedule, 0, config.trunc, 1, config.seed, engine=config.engine
-    )
-    dwell = dwell_statistics(records[0])
+    record = run_ensemble(params, schedule, 0, config.trunc, 1, config.seed, engine=config.engine)
+    dwell = dwell_statistics(record)
     pi1 = params.emission_rate / (params.emission_rate + params.absorption_rate)
     lines = _metadata(config, "dwell")
     lines.append(f"record: {config.traj} steps of gamma_dt = {_fmt(config.gdt)}")
@@ -152,8 +152,8 @@ def _two_level_fit(config: RunConfig, level: int, master_seed: int):
     slowdown formulas live)."""
     params = config.bath()
     schedule = MeasurementSchedule(config.dt, config.steps, ProjectorPartition.fine(1))
-    records = run_ensemble(params, schedule, level, 1, config.traj, master_seed)
-    return fit_decay(estimate_survival(records, level))
+    ensemble = run_ensemble(params, schedule, level, 1, config.traj, master_seed)
+    return fit_decay(estimate_survival(ensemble, level))
 
 
 def cmd_zeno(config: RunConfig) -> tuple[str, str]:
@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
             text, code = cmd_validate(config)
             sys.stdout.write(text)
             return code
-    except Exception as exc:  # simulation/statistical failure
+    except (FitError, ZeroProbabilityError) as exc:  # statistical failure; bugs propagate
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

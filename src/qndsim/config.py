@@ -14,6 +14,7 @@ from .core import BathParams, bath_from_gamma
 
 ENGINES = ("luders", "gillespie")
 MODES = ("paper", "exact")
+HORIZON_RTOL = 1e-9  # horizon/gdt may miss an integer by this much (float rounding)
 
 
 class ConfigError(ValueError):
@@ -61,6 +62,11 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.gdt > self.horizon:
             raise ConfigError(f"gdt = {self.gdt} exceeds horizon = {self.horizon}")
+        intervals = self.horizon / self.gdt
+        if abs(intervals - round(intervals)) > HORIZON_RTOL * intervals:
+            raise ConfigError(
+                f"horizon = {self.horizon} is not a whole number of gdt = {self.gdt} steps"
+            )
         warnings = []
         if self.n_thermal >= 1.0:
             warnings.append(

@@ -32,6 +32,14 @@ from .measurement import ProjectorPartition, ZeroProbabilityError
 # Documented stream-derivation mixer; echoed in CLI output metadata.
 SEED_DERIVATION = "numpy SeedSequence((master_seed, trajectory_index)) -> PCG64"
 
+# Trajectories sampled together: bounds the (rows, steps) uniforms and every
+# working array of the Lüders engine, whatever the ensemble size.
+BLOCK_ROWS = 4096
+
+# Largest (rows, window) look-ahead of the fine Lüders engine, in elements.
+_WINDOW_ELEMENTS = 1 << 16
+_MIN_WINDOW = 8
+
 
 class ZenoDomainWarning(UserWarning):
     """Persistence-time ordering degenerates (n_thermal >= 1)."""
@@ -58,24 +66,30 @@ class MeasurementSchedule:
 
 
 @dataclass(frozen=True, eq=False)
-class MeasurementRecord:
-    """One trajectory's readout: bin indices at times dt, 2*dt, ..., m*dt."""
+class Ensemble:
+    """Readouts of trajectories ``first_index .. first_index + n_traj - 1``:
+    row r of ``outcomes`` holds trajectory ``first_index + r``'s bin indices
+    at times dt, 2*dt, ..., steps*dt."""
 
     schedule: MeasurementSchedule
     initial_level: int | None
     outcomes: np.ndarray
     master_seed: int
-    trajectory_index: int
+    first_index: int
     engine: str
 
     def __post_init__(self):
         out = np.asarray(self.outcomes)
-        if out.shape != (self.schedule.steps,):
-            raise ValueError("outcome count must equal the schedule's step count")
-        if out.size and (out.min() < 0 or out.max() >= self.schedule.partition.n_bins):
+        if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] != self.schedule.steps:
+            raise ValueError("outcomes must have one row per trajectory and one column per step")
+        if out.min() < 0 or out.max() >= self.schedule.partition.n_bins:
             raise ValueError("outcome outside the partition's bin range")
         out.setflags(write=False)
         object.__setattr__(self, "outcomes", out)
+
+    @property
+    def n_traj(self) -> int:
+        return self.outcomes.shape[0]
 
 
 @dataclass(frozen=True)
@@ -91,10 +105,122 @@ class ZenoReport:
 
 
 def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generator:
-    """Private random stream of one trajectory (see :data:`SEED_DERIVATION`)."""
+    """Private random stream of one trajectory (see :data:`SEED_DERIVATION`).
+
+    The engines derive the same streams many at a time (:func:`_streams`);
+    this is the reference they are tested against.
+    """
     if master_seed < 0 or trajectory_index < 0:
         raise ValueError("master_seed and trajectory_index must be non-negative")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, trajectory_index))))
+
+
+# numpy.random.SeedSequence's hash constants (pool of four uint32 words) and
+# the multiplier of PCG64's 128-bit LCG (O'Neill 2014).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _int_words(value: int) -> list[int]:
+    """SeedSequence's little-endian uint32 words of a non-negative integer."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence.mix_entropy`` applied column-wise: ``entropy[j][r]`` is
+    word j of row r's entropy, and every row has the same word count."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[j] if j < len(entropy) else zero) for j in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _seed_words(master_seed: int, first_index: int, n: int) -> np.ndarray:
+    """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for
+    ``i = first_index .. first_index + n - 1``, as an ``(n, 4)`` array."""
+    if master_seed < 0 or first_index < 0:
+        raise ValueError("master_seed and trajectory_index must be non-negative")
+    if first_index + n > 1 << 64:
+        raise ValueError("trajectory indices must be below 2**64")
+    index = np.uint64(first_index) + np.arange(n, dtype=np.uint64)
+    low = (index & np.uint64(_MASK32)).astype(np.uint32)
+    high = (index >> np.uint64(32)).astype(np.uint32)
+    master = [np.full(n, w, dtype=np.uint32) for w in _int_words(master_seed)]
+    # An index below 2**32 is one entropy word, a larger one two.
+    split = min(n, max(0, (1 << 32) - first_index))
+    pools = [
+        _seed_pool([w[rows] for w in master + words])
+        for rows, words in ((slice(0, split), [low]), (slice(split, n), [low, high]))
+        if rows.start < rows.stop
+    ]
+    pool = [np.concatenate([p[j] for p in pools]) for j in range(_POOL_SIZE)]
+    hash_const = _INIT_B
+    state = []
+    for j in range(2 * 4):
+        value = pool[j % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)], axis=1)
+
+
+def _streams(master_seed: int, first_index: int, n: int):
+    """One reused Generator, set in turn to the stream of each trajectory
+    ``first_index .. first_index + n - 1``; bit-identical to
+    :func:`trajectory_rng` for each."""
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for start in range(0, n, BLOCK_ROWS):
+        words = _seed_words(master_seed, first_index + start, min(BLOCK_ROWS, n - start))
+        for seed_high, seed_low, inc_high, inc_low in words.tolist():
+            # PCG64's srandom: inc = 2*initseq + 1, state = (inc + initstate) stepped once
+            inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+            state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _MASK128
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
+def _uniforms(master_seed: int, first_index: int, n: int, steps: int) -> np.ndarray:
+    """``(n, steps)`` array whose row r is the first ``steps`` uniforms of
+    trajectory ``first_index + r``'s stream."""
+    out = np.empty((n, steps))
+    for row, rng in zip(out, _streams(master_seed, first_index, n)):
+        rng.random(out=row)
+    return out
 
 
 def _as_population(initial: PopulationVector | int, truncation: int) -> PopulationVector:
@@ -123,7 +249,7 @@ def run_trajectory_luders(
     initial: PopulationVector | int,
     truncation: int,
     seed_pair: tuple[int, int],
-) -> MeasurementRecord:
+) -> Ensemble:
     """One trajectory of the measurement-theoretic loop: the ensemble of one
     trajectory ``seed_pair[1]`` under master seed ``seed_pair[0]``.
 
@@ -132,7 +258,7 @@ def run_trajectory_luders(
     outcome.  Fully deterministic given ``seed_pair``.
     """
     master_seed, index = seed_pair
-    return run_ensemble(params, schedule, initial, truncation, 1, master_seed, first_index=index)[0]
+    return run_ensemble(params, schedule, initial, truncation, 1, master_seed, first_index=index)
 
 
 def run_trajectory_gillespie(
@@ -141,9 +267,10 @@ def run_trajectory_gillespie(
     initial_level: int,
     truncation: int,
     seed_pair: tuple[int, int],
-) -> MeasurementRecord:
+) -> Ensemble:
     """One trajectory of the exact continuous-time jump process, read out at
-    the sampling times.
+    the sampling times: the ensemble of one trajectory ``seed_pair[1]`` under
+    master seed ``seed_pair[0]``.
 
     Requires a fine partition (the readout is the occupied level).  Per jump
     the stream is consumed as: one exponential for the holding time, then one
@@ -151,17 +278,26 @@ def run_trajectory_gillespie(
     the horizon).  Accepts the degenerate zero-emission parameter set, under
     which level 0 is absorbing.
     """
-    if not schedule.partition.is_fine:
-        raise ValueError("the jump engine requires a fine partition")
-    if schedule.partition.truncation != truncation:
-        raise ValueError("partition truncation mismatch")
-    if not 0 <= initial_level <= truncation:
-        raise ValueError(f"initial level {initial_level} outside 0..{truncation}")
-    rng = trajectory_rng(*seed_pair)
+    master_seed, index = seed_pair
+    return run_ensemble(
+        params, schedule, initial_level, truncation, 1, master_seed, "gillespie", index
+    )
+
+
+def _jump_outcomes(
+    params: BathParams,
+    schedule: MeasurementSchedule,
+    initial_level: int,
+    truncation: int,
+    rng: np.random.Generator,
+    out: np.ndarray,
+) -> None:
+    """Write the occupied level at each sampling time of one jump-process
+    path into ``out``."""
     be, ba = params.emission_rate, params.absorption_rate
     horizon = schedule.horizon
     t = 0.0
-    level = int(initial_level)
+    level = initial_level
     jump_times: list[float] = []
     levels = [level]
     while True:
@@ -179,10 +315,7 @@ def run_trajectory_gillespie(
     sample_times = schedule.dt * np.arange(1, schedule.steps + 1)
     # paths are right-continuous: a sample at a jump instant sees the new level
     segment = np.searchsorted(np.asarray(jump_times), sample_times, side="right")
-    outcomes = np.asarray(levels, dtype=_outcome_dtype(truncation + 1))[segment]
-    return MeasurementRecord(
-        schedule, int(initial_level), outcomes, seed_pair[0], seed_pair[1], "gillespie"
-    )
+    out[:] = np.asarray(levels, dtype=out.dtype)[segment]
 
 
 def survival_product(params: BathParams, k: int, dt: float, steps: int) -> float:
@@ -227,73 +360,107 @@ def zeno_times(params: BathParams) -> ZenoReport:
     return ZenoReport(tau, tau_0, tau_1, tau_0 / tau, tau_1 / tau)
 
 
-def _luders_outcomes(
-    params: BathParams,
-    schedule: MeasurementSchedule,
-    pop: PopulationVector,
-    n_traj: int,
-    master_seed: int,
-    first_index: int,
-) -> np.ndarray:
-    """Outcomes ``(n_traj, steps)`` of the measurement loop for trajectories
-    ``first_index ..``: relax by ``dt``, sample a bin, Lüders collapse.
+def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray) -> np.ndarray:
+    """Outcomes of the measurement loop under a fine partition, one row per
+    row of ``uniforms``.
 
-    Sampling is the right-sided bisection of each step's uniform into the
-    cumulative bin masses.  A row's floats never depend on the other rows:
-    relaxation is a fixed-order sum over columns, not a BLAS product whose
-    blocking may vary with the batch size, so a trajectory's outcomes do not
-    depend on the batch it runs in.
+    A fine collapse leaves a pure level k, and the next outcome is the
+    right-sided bisection of the step's uniform into column k's cumulative
+    masses: it is k again exactly when ``cum_k[k-1] <= u < cum_k[k]`` (no
+    upper bound at the top level, where a uniform above the column's mass
+    clamps).  So each row is scanned ahead in windows for the first uniform
+    outside its level's interval, and only there is a cumulative row
+    gathered and bisected.  The runs found are expanded into outcomes at
+    the end.
     """
-    partition = schedule.partition
-    n_levels, n_bins = pop.truncation + 1, partition.n_bins
-    tmat = transition_matrix(build_generator(params, pop.truncation), schedule.dt)
-    uniforms = np.empty((n_traj, schedule.steps))
-    for i in range(n_traj):
-        uniforms[i] = trajectory_rng(master_seed, first_index + i).random(schedule.steps)
+    n_rows, steps = uniforms.shape
+    n_levels = tmat.shape[0]
+    cum = np.cumsum(tmat, axis=0).T
+    relaxed = tmat @ pop.weights
+    diagonal = np.arange(n_levels)
+    lower = np.concatenate(([0.0], cum[diagonal[1:], diagonal[:-1]]))
+    upper = cum[diagonal, diagonal]
+    upper[-1] = np.inf
+    with np.errstate(divide="ignore"):
+        mean_run = 1.0 / (1.0 - np.diag(tmat))  # expected readouts per visit
 
-    if partition.is_fine:
-        # A fine collapse leaves a pure level, so the state is that level and
-        # its relaxed cumulative weights are a row of a table; the last row
-        # holds the relaxed initial state.
-        table = np.vstack([np.cumsum(tmat, axis=0).T, np.cumsum(tmat @ pop.weights)])
-        state = np.full(n_traj, n_levels)
+    def bisect(cum_rows, u, top_mass):
+        count = (cum_rows <= u[:, None]).sum(axis=1)
+        # only a clamp past the column's mass can pick an outcome of zero mass
+        if np.any(top_mass[count == n_levels] == 0.0):
+            raise ZeroProbabilityError("a sampled outcome has zero probability")
+        return np.minimum(count, n_levels - 1)
 
-        def advance(levels):
-            return table[levels], None
+    level = bisect(
+        np.broadcast_to(np.cumsum(relaxed), (n_rows, n_levels)),
+        uniforms[:, 0],
+        np.broadcast_to(relaxed[-1], n_rows),
+    )
+    # every run of a level, as its flat start (row * steps + step) and level
+    run_starts, run_levels = [np.arange(n_rows) * steps], [level.copy()]
+    flat = uniforms.ravel()
+    pos = np.ones(n_rows, dtype=np.intp)  # each row's first undecided step
+    active = np.flatnonzero(pos < steps)
+    while active.size:
+        k, p = level[active], pos[active]
+        # look ahead about one expected visit of the shortest-lived level
+        window = int(min(
+            max(mean_run[k].min(), _MIN_WINDOW),
+            max(_WINDOW_ELEMENTS // active.size, _MIN_WINDOW),
+            steps - p.min(),
+        ))
+        ahead = np.arange(window)
+        u = np.take(flat, (active * steps + p)[:, None] + ahead, mode="clip")
+        leave = (u < lower[k, None]) | (u >= upper[k, None])
+        leave &= ahead < (steps - p)[:, None]  # reads past the row's last step
+        left = leave.any(axis=1)
+        step = p + np.where(left, leave.argmax(axis=1), window)
+        rows, at, was = active[left], step[left], k[left]
+        new = bisect(cum[was], uniforms[rows, at], tmat[-1, was])
+        run_starts.append(rows * steps + at)
+        run_levels.append(new)
+        level[rows] = new
+        pos[active] = step + left
+        active = active[pos[active] < steps]
+    starts = np.concatenate(run_starts)
+    order = np.argsort(starts)
+    lengths = np.diff(np.append(starts[order], n_rows * steps))
+    levels = np.concatenate(run_levels)[order].astype(_outcome_dtype(n_levels))
+    return np.repeat(levels, lengths).reshape(n_rows, steps)
 
-        def collapse(_, outcome):
-            return outcome
 
-    else:
-        # The state is an (n_traj, L) weight array.
-        columns = tmat.T
-        level_bin = np.array([partition.bin_of(n) for n in range(n_levels)])
-        state = np.broadcast_to(pop.weights, (n_traj, n_levels))
+def _coarse_outcomes(
+    tmat: np.ndarray, pop: PopulationVector, partition: ProjectorPartition, uniforms: np.ndarray
+) -> np.ndarray:
+    """Outcomes of the measurement loop under any partition, one row per row
+    of ``uniforms``.
 
-        def advance(weights):
-            relaxed = np.zeros((n_traj, n_levels))
-            for j in range(n_levels):
-                relaxed += weights[:, j, None] * columns[j]
-            masses = np.zeros((n_traj, n_bins))
-            for n, b in enumerate(level_bin):
-                masses[:, b] += relaxed[:, n]
-            return np.cumsum(masses, axis=1), (relaxed, masses)
-
-        def collapse(relaxed_masses, outcome):
-            relaxed, masses = relaxed_masses
-            mass = masses[np.arange(n_traj), outcome]
-            if not mass.all():
-                raise ZeroProbabilityError("a sampled outcome has zero probability")
-            inside = level_bin == outcome[:, None]
-            return np.where(inside, relaxed / mass[:, None], 0.0)
-
-    outcomes = np.empty((n_traj, schedule.steps), dtype=_outcome_dtype(n_bins))
-    for step in range(schedule.steps):
-        cum, relaxed = advance(state)
+    The state is an ``(n_rows, L)`` weight array: each step relaxes it by a
+    fixed-order sum over columns (not a BLAS product, whose blocking may vary
+    with the batch size), samples a bin by right-sided bisection of the
+    step's uniform into the cumulative bin masses, and collapses by mask and
+    divide.
+    """
+    n_rows, steps = uniforms.shape
+    n_levels, n_bins = tmat.shape[0], partition.n_bins
+    columns = tmat.T
+    level_bin = np.array([partition.bin_of(n) for n in range(n_levels)])
+    weights = np.broadcast_to(pop.weights, (n_rows, n_levels))
+    outcomes = np.empty((n_rows, steps), dtype=_outcome_dtype(n_bins))
+    for step in range(steps):
+        relaxed = np.zeros((n_rows, n_levels))
+        for j in range(n_levels):
+            relaxed += weights[:, j, None] * columns[j]
+        masses = np.zeros((n_rows, n_bins))
+        for n, b in enumerate(level_bin):
+            masses[:, b] += relaxed[:, n]
+        cum = np.cumsum(masses, axis=1)
         outcome = np.minimum((cum <= uniforms[:, step, None]).sum(axis=1), n_bins - 1)
-        state = collapse(relaxed, outcome)
+        mass = masses[np.arange(n_rows), outcome]
+        if not mass.all():
+            raise ZeroProbabilityError("a sampled outcome has zero probability")
+        weights = np.where(level_bin == outcome[:, None], relaxed / mass[:, None], 0.0)
         outcomes[:, step] = outcome
-        del cum, relaxed  # batch-sized; freed before the next step allocates its own
     return outcomes
 
 
@@ -306,34 +473,42 @@ def run_ensemble(
     master_seed: int,
     engine: str = "luders",
     first_index: int = 0,
-) -> list[MeasurementRecord]:
+) -> Ensemble:
     """Independent trajectories ``first_index .. first_index + n_traj - 1``.
 
     The result depends only on (params, schedule, initial, seeds): each
     trajectory draws from its own stream and no trajectory's arithmetic
     depends on another's, so the ensemble split at any ``first_index`` and
-    concatenated is bit-identical to the unsplit run.
+    concatenated is bit-identical to the unsplit run.  The Lüders engine
+    runs :data:`BLOCK_ROWS` trajectories at a time.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     if engine not in ("luders", "gillespie"):
         raise ValueError(f"unknown engine {engine!r}")
-    if schedule.partition.truncation != truncation:
+    partition = schedule.partition
+    if partition.truncation != truncation:
         raise ValueError("partition truncation mismatch")
-    indices = range(first_index, first_index + n_traj)
+    outcomes = np.empty((n_traj, schedule.steps), dtype=_outcome_dtype(partition.n_bins))
     if engine == "gillespie":
-        if isinstance(initial, PopulationVector):
-            initial = _initial_level(initial)
-            if initial is None:
-                raise ValueError("the jump engine needs a definite initial level")
-        return [
-            run_trajectory_gillespie(params, schedule, int(initial), truncation, (master_seed, i))
-            for i in indices
-        ]
-    pop = _as_population(initial, truncation)
-    outcomes = _luders_outcomes(params, schedule, pop, n_traj, master_seed, first_index)
-    level = _initial_level(pop)
-    return [
-        MeasurementRecord(schedule, level, row, master_seed, i, "luders")
-        for i, row in zip(indices, outcomes)
-    ]
+        if not partition.is_fine:
+            raise ValueError("the jump engine requires a fine partition")
+        level = _initial_level(initial) if isinstance(initial, PopulationVector) else int(initial)
+        if level is None:
+            raise ValueError("the jump engine needs a definite initial level")
+        if not 0 <= level <= truncation:
+            raise ValueError(f"initial level {level} outside 0..{truncation}")
+        for row, rng in zip(outcomes, _streams(master_seed, first_index, n_traj)):
+            _jump_outcomes(params, schedule, level, truncation, rng, row)
+    else:
+        pop = _as_population(initial, truncation)
+        level = _initial_level(pop)
+        tmat = transition_matrix(build_generator(params, truncation), schedule.dt)
+        for start in range(0, n_traj, BLOCK_ROWS):
+            block = outcomes[start:start + BLOCK_ROWS]
+            uniforms = _uniforms(master_seed, first_index + start, len(block), schedule.steps)
+            if partition.is_fine:
+                block[:] = _fine_outcomes(tmat, pop, uniforms)
+            else:
+                block[:] = _coarse_outcomes(tmat, pop, partition, uniforms)
+    return Ensemble(schedule, level, outcomes, master_seed, first_index, engine)

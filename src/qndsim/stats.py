@@ -1,6 +1,6 @@
-"""Statistics over measurement records: empirical survival curves, decay-rate
-fits, dwell-time decompositions, ergodic time averages, and a two-sample
-distribution test.
+"""Statistics over measurement ensembles: empirical survival curves,
+decay-rate fits, dwell-time decompositions, ergodic time averages, and a
+two-sample distribution test.
 
 Error models are standard frequentist choices: binomial standard errors on
 survival points and the weighted-regression covariance for fitted rates.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
-from .protocol import MeasurementRecord
+from .protocol import Ensemble
 
 
 class FitError(ValueError):
@@ -25,7 +25,7 @@ class FitError(ValueError):
 class SurvivalCurve:
     """Fraction of an ensemble still reporting the target bin at every step.
 
-    ``survivors[i]`` counts the records whose first i outcomes all equal the
+    ``survivors[i]`` counts the trajectories whose first i outcomes all equal the
     target (so the step-0 baseline is the ensemble size); for synthetic
     curves it holds expected counts instead.  ``stderr`` is the pointwise
     binomial standard error sqrt(p(1-p)/total).
@@ -64,24 +64,18 @@ class SurvivalCurve:
         return cls(np.asarray(times, dtype=float), survival * total, total)
 
 
-def estimate_survival(records: list[MeasurementRecord], k: int) -> SurvivalCurve:
-    """Empirical survival in bin ``k``: a record survives step i if its first
-    i outcomes all equal k.
+def estimate_survival(ensemble: Ensemble, k: int) -> SurvivalCurve:
+    """Empirical survival in bin ``k``: a trajectory survives step i if its
+    first i outcomes all equal k.
 
-    All records must share one schedule.  The curve estimates the repeated-
-    measurement survival law only when the records start pure in bin k; that
-    is the caller's responsibility.
+    The curve estimates the repeated-measurement survival law only when the
+    trajectories start pure in bin k; that is the caller's responsibility.
     """
-    if not records:
-        raise ValueError("empty ensemble")
-    schedule = records[0].schedule
-    if any(r.schedule != schedule for r in records):
-        raise ValueError("records do not share a single schedule")
-    outcomes = np.stack([r.outcomes for r in records])
+    outcomes = ensemble.outcomes
     alive = np.logical_and.accumulate(outcomes == k, axis=1)
-    survivors = np.concatenate(([len(records)], alive.sum(axis=0))).astype(float)
-    times = schedule.dt * np.arange(schedule.steps + 1)
-    return SurvivalCurve(times, survivors, float(len(records)))
+    survivors = np.concatenate(([ensemble.n_traj], alive.sum(axis=0))).astype(float)
+    times = ensemble.schedule.dt * np.arange(ensemble.schedule.steps + 1)
+    return SurvivalCurve(times, survivors, float(ensemble.n_traj))
 
 
 @dataclass(frozen=True)
@@ -136,14 +130,17 @@ def fit_decay(curve: SurvivalCurve, floor: float = 0.05, min_survivors: float = 
 
 @dataclass(frozen=True, eq=False)
 class DwellStats:
-    """Run-length decomposition of a fine-partition record.
+    """Run-length decomposition of a fine-partition ensemble, pooled over its
+    trajectories.
 
-    ``counts[n]`` is the number of outcomes equal to n (so the per-level dwell
-    times are ``counts*dt`` and sum exactly to the record duration
-    ``steps*dt``).  ``dwell_lengths[n]`` lists the maximal constant runs of n
-    in record order, in units of dt; ``interior_dwell_lengths`` excludes the
-    first and last run of the record, whose true extent is censored by the
-    record boundaries.
+    ``steps`` is the number of readouts pooled (trajectories times schedule
+    steps).  ``counts[n]`` is the number of outcomes equal to n (so the
+    per-level dwell times are ``counts*dt`` and sum exactly to the pooled
+    duration ``steps*dt``).  ``dwell_lengths[n]`` lists the maximal constant
+    runs of n, row by row in record order, in units of dt; a run never spans
+    two trajectories.  ``interior_dwell_lengths`` excludes the first and last
+    run of each trajectory, whose true extent is censored by its record
+    boundaries.
     """
 
     steps: int
@@ -165,33 +162,37 @@ class DwellStats:
         return self.counts / self.steps
 
 
-def dwell_statistics(record: MeasurementRecord) -> DwellStats:
-    """Dwell-time statistics of one record (fine partitions only)."""
-    partition = record.schedule.partition
+def dwell_statistics(ensemble: Ensemble) -> DwellStats:
+    """Dwell-time statistics of an ensemble (fine partitions only), pooled
+    over its trajectories in one pass."""
+    partition = ensemble.schedule.partition
     if not partition.is_fine:
         raise ValueError("dwell statistics require a fine partition")
-    outcomes = record.outcomes
-    counts = np.bincount(outcomes, minlength=partition.n_bins)
-    ends = np.flatnonzero(np.diff(outcomes))
-    starts = np.concatenate(([0], ends + 1))
-    lengths = np.diff(np.concatenate((starts, [outcomes.size])))
-    values = outcomes[starts]
+    outcomes = ensemble.outcomes
+    width = outcomes.shape[1]
+    run_start = np.ones(outcomes.shape, dtype=bool)
+    run_start[:, 1:] = outcomes[:, 1:] != outcomes[:, :-1]
+    flat = outcomes.ravel()
+    starts = np.flatnonzero(run_start)
+    lengths = np.diff(np.append(starts, flat.size))
+    values = flat[starts]
+    interior_mask = (starts % width != 0) & ((starts + lengths) % width != 0)
+    counts = np.bincount(flat, minlength=partition.n_bins)
     dwell = tuple(lengths[values == n] for n in range(partition.n_bins))
-    interior_mask = np.ones(values.size, dtype=bool)
-    interior_mask[0] = interior_mask[-1] = False
     interior = tuple(
         lengths[interior_mask & (values == n)] for n in range(partition.n_bins)
     )
-    return DwellStats(record.schedule.steps, record.schedule.dt, counts, dwell, interior)
+    return DwellStats(flat.size, ensemble.schedule.dt, counts, dwell, interior)
 
 
-def time_average(record: MeasurementRecord, n: int) -> float:
-    """Fraction of the record's outcomes equal to level ``n`` -- the discrete
-    time average of the level-n occupation.  Equals
-    ``dwell_statistics(record).fractions[n]`` exactly."""
-    if not record.schedule.partition.is_fine:
+def time_average(ensemble: Ensemble, n: int) -> float:
+    """Fraction of the ensemble's outcomes equal to level ``n`` -- the
+    discrete time average of the level-n occupation, pooled over its
+    trajectories.  Equals ``dwell_statistics(ensemble).fractions[n]``
+    exactly."""
+    if not ensemble.schedule.partition.is_fine:
         raise ValueError("time averages require a fine partition")
-    return int(np.count_nonzero(record.outcomes == n)) / record.schedule.steps
+    return int(np.count_nonzero(ensemble.outcomes == n)) / ensemble.outcomes.size
 
 
 def ks_distance(a, b) -> tuple[float, float]:

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+from qndsim import cli
 from qndsim.cli import cmd_dwell, cmd_relax, cmd_survival, cmd_thermal, cmd_zeno, main
 from qndsim.config import ConfigError, RunConfig, load_config
+from qndsim.measurement import ZeroProbabilityError
+from qndsim.stats import FitError
 
 
 def csv_body(text):
@@ -43,6 +46,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(gdt=2.0, horizon=1.0).validate()
 
+    def test_horizon_must_be_whole_number_of_steps(self):
+        with pytest.raises(ConfigError, match="whole number"):
+            RunConfig(horizon=1.0, gdt=0.3).validate()
+        for horizon, gdt in ((1.0, 0.01), (0.2, 0.01), (5.0, 0.05), (0.1, 0.01), (0.05, 0.01)):
+            RunConfig(horizon=horizon, gdt=gdt).validate()
+
     def test_occupancy_warnings(self):
         assert RunConfig(n_thermal=0.1).validate() == []
         assert len(RunConfig(n_thermal=0.9).validate()) == 1
@@ -64,6 +73,30 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "thermal", "--trunc", "1")
         assert code == 0
         assert out.startswith("# qndsim")
+
+    def test_fractional_horizon_is_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "relax", "--horizon", "1", "--gdt", "0.3")
+        assert code == 1
+        assert out == ""
+        assert "whole number" in err
+
+    @pytest.mark.parametrize("error", [FitError, ZeroProbabilityError])
+    def test_statistical_failure_is_exit_2(self, capsys, monkeypatch, error):
+        def fail(config):
+            raise error("no usable points")
+
+        monkeypatch.setattr(cli, "cmd_thermal", fail)
+        code, _, err = run_cli(capsys, "thermal", "--trunc", "1")
+        assert code == 2
+        assert "no usable points" in err
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def bug(config):
+            raise RuntimeError("a bug, not a statistical failure")
+
+        monkeypatch.setattr(cli, "cmd_thermal", bug)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["thermal", "--trunc", "1"])
 
     def test_soft_occupancy_warning_on_stderr(self, capsys):
         code, _, err = run_cli(capsys, "thermal", "--trunc", "1", "--n-thermal", "0.9")

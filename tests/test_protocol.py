@@ -50,6 +50,33 @@ def two_level_stay_probability(params, level, dt):
     return pi + (1.0 - pi) * math.exp(-total * dt)
 
 
+class TestStreams:
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**63])
+    @pytest.mark.parametrize(
+        "first_index,n", [(0, 3), (2**32 - 2, 4), (2**63 - 1, 2)], ids=["low", "2^32", "2^63"]
+    )
+    def test_uniforms_match_reference_streams(self, master_seed, first_index, n):
+        got = protocol._uniforms(master_seed, first_index, n, 7)
+        want = np.stack([trajectory_rng(master_seed, first_index + r).random(7) for r in range(n)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_streams_continue_like_reference_streams(self):
+        # the jump engine interleaves exponentials and uniforms on one stream
+        for i, rng in enumerate(protocol._streams(3, 2**32 - 1, 2)):
+            ref = trajectory_rng(3, 2**32 - 1 + i)
+            for _ in range(3):
+                assert rng.exponential(0.5) == ref.exponential(0.5)
+                assert rng.random() == ref.random()
+
+    def test_rejects_seeds_outside_uint64_range(self):
+        with pytest.raises(ValueError):
+            protocol._uniforms(-1, 0, 1, 3)
+        with pytest.raises(ValueError):
+            protocol._uniforms(0, -1, 1, 3)
+        with pytest.raises(ValueError):
+            protocol._uniforms(0, 2**64 - 1, 2, 3)
+
+
 class TestSchedule:
     def test_validation(self):
         part = ProjectorPartition.fine(1)
@@ -69,17 +96,18 @@ class TestLudersEngine:
 
     def test_record_metadata(self):
         sched = MeasurementSchedule(0.2, 4, ProjectorPartition.fine(1))
-        rec = run_trajectory_luders(PARAMS, sched, pure_level(1, 1), 1, (3, 2))
-        assert rec.initial_level == 1
-        assert (rec.master_seed, rec.trajectory_index) == (3, 2)
-        assert rec.engine == "luders"
-        assert rec.outcomes.shape == (4,)
+        ens = run_trajectory_luders(PARAMS, sched, pure_level(1, 1), 1, (3, 2))
+        assert ens.initial_level == 1
+        assert (ens.master_seed, ens.first_index, ens.n_traj) == (3, 2, 1)
+        assert ens.engine == "luders"
+        assert ens.outcomes.shape == (1, 4)
+        assert not ens.outcomes.flags.writeable
 
     def test_block_partition_supported(self):
         part = ProjectorPartition(3, ((0, 1), (2, 3)))
         sched = MeasurementSchedule(0.5, 30, part)
-        rec = run_trajectory_luders(PARAMS, sched, 0, 3, (0, 0))
-        assert set(np.unique(rec.outcomes)) <= {0, 1}
+        ens = run_trajectory_luders(PARAMS, sched, 0, 3, (0, 0))
+        assert set(np.unique(ens.outcomes)) <= {0, 1}
 
     def test_single_step_occupation_matches_chain_oracle(self):
         # one measurement from level 1: outcome-1 probability is the exact
@@ -87,8 +115,8 @@ class TestLudersEngine:
         dt = 0.4
         sched = MeasurementSchedule(dt, 1, ProjectorPartition.fine(1))
         n = 10_000
-        records = run_ensemble(PARAMS, sched, 1, 1, n, 17)
-        freq = np.mean([r.outcomes[0] == 1 for r in records])
+        ens = run_ensemble(PARAMS, sched, 1, 1, n, 17)
+        freq = np.mean(ens.outcomes[:, 0] == 1)
         target = two_level_stay_probability(PARAMS, 1, dt)
         assert abs(freq - target) <= 3.0 * math.sqrt(target * (1.0 - target) / n)
 
@@ -97,8 +125,7 @@ class TestLudersEngine:
         # marginal sits at the stationary two-level occupancy
         sched = MeasurementSchedule(20.0, 5, ProjectorPartition.fine(1))
         n = 4000
-        records = run_ensemble(PARAMS, sched, 0, 1, n, 23)
-        outcomes = np.stack([r.outcomes for r in records])
+        outcomes = run_ensemble(PARAMS, sched, 0, 1, n, 23).outcomes
         pi1 = PARAMS.emission_rate / (PARAMS.emission_rate + PARAMS.absorption_rate)
         band = 3.0 * math.sqrt(pi1 * (1.0 - pi1) / n)
         for step in range(5):
@@ -110,7 +137,7 @@ class TestLudersEngine:
         trunc, dt, steps, n = 10, 0.1, 50, 4000
         params = bath_from_gamma(1.0, 0.3)
         sched = MeasurementSchedule(dt, steps, coarse_partition(trunc))
-        outcomes = np.stack([r.outcomes for r in run_ensemble(params, sched, 0, trunc, n, 8)])
+        outcomes = run_ensemble(params, sched, 0, trunc, n, 8).outcomes
         tmat = transition_matrix(build_generator(params, trunc), dt)
         state = pure_level(0, trunc).weights
         for m in range(steps):
@@ -119,23 +146,25 @@ class TestLudersEngine:
             freq = np.mean(outcomes[:, m] == 0)
             assert abs(freq - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / n)
 
-    def test_zero_probability_outcome_raises(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "partition", [ProjectorPartition.fine(3), coarse_partition(3)], ids=["fine", "coarse"]
+    )
+    def test_zero_probability_outcome_raises(self, monkeypatch, partition):
         # a uniform above the column mass (1 - Poisson tail) clamps into the
         # last bin, which holds no mass when the bath cannot excite level 0
-        class TopUniform:
-            def random(self, size):
-                return np.full(size, np.nextafter(1.0, 0.0))
+        def top_uniforms(master_seed, first_index, n, steps):
+            return np.full((n, steps), np.nextafter(1.0, 0.0))
 
-        monkeypatch.setattr(protocol, "trajectory_rng", lambda *seeds: TopUniform())
-        sched = MeasurementSchedule(0.5, 3, coarse_partition(3))
+        monkeypatch.setattr(protocol, "_uniforms", top_uniforms)
+        sched = MeasurementSchedule(0.5, 3, partition)
         with pytest.raises(ZeroProbabilityError):
             run_ensemble(BathParams.zero_emission(1.1), sched, 0, 3, 2, 0)
 
     def test_survival_fraction_near_product_prediction(self):
         sched = MeasurementSchedule(0.01, 100, ProjectorPartition.fine(1))
         n = 20_000
-        records = run_ensemble(PARAMS, sched, 0, 1, n, 1)
-        survived = np.mean([not r.outcomes.any() for r in records])
+        outcomes = run_ensemble(PARAMS, sched, 0, 1, n, 1).outcomes
+        survived = np.mean(~outcomes.any(axis=1))
         target = survival_product(PARAMS, 0, 0.01, 100)
         assert abs(survived - target) <= 3.0 * math.sqrt(target * (1.0 - target) / n)
 
@@ -149,34 +178,34 @@ class TestGillespieEngine:
     def test_zero_emission_makes_ground_state_absorbing(self):
         params = BathParams.zero_emission(1.1)
         sched = MeasurementSchedule(0.5, 200, ProjectorPartition.fine(1))
-        rec = run_trajectory_gillespie(params, sched, 0, 1, (0, 0))
-        assert not rec.outcomes.any()
+        ens = run_trajectory_gillespie(params, sched, 0, 1, (0, 0))
+        assert not ens.outcomes.any()
 
     def test_zero_emission_decays_into_ground(self):
         params = BathParams.zero_emission(1.1)
         sched = MeasurementSchedule(0.5, 60, ProjectorPartition.fine(1))
-        rec = run_trajectory_gillespie(params, sched, 1, 1, (0, 4))
-        assert rec.outcomes[-1] == 0
+        outcomes = run_trajectory_gillespie(params, sched, 1, 1, (0, 4)).outcomes[0]
+        assert outcomes[-1] == 0
         # once absorbed it never leaves
-        first_zero = int(np.argmax(rec.outcomes == 0))
-        assert not rec.outcomes[first_zero:].any()
+        first_zero = int(np.argmax(outcomes == 0))
+        assert not outcomes[first_zero:].any()
 
     def test_outcomes_hold_levels_beyond_int16(self):
         sched = MeasurementSchedule(1e-4, 5, ProjectorPartition.fine(40_000))
-        rec = run_trajectory_gillespie(PARAMS, sched, 33_000, 40_000, (0, 0))
-        assert np.all(np.abs(rec.outcomes.astype(int) - 33_000) <= 100)
+        ens = run_trajectory_gillespie(PARAMS, sched, 33_000, 40_000, (0, 0))
+        assert np.all(np.abs(ens.outcomes.astype(int) - 33_000) <= 100)
 
     def test_small_partitions_keep_int16_outcomes(self):
         sched = MeasurementSchedule(0.1, 5, ProjectorPartition.fine(40))
         for engine in ("luders", "gillespie"):
-            assert run_ensemble(PARAMS, sched, 0, 40, 2, 0, engine=engine)[0].outcomes.dtype == np.int16
+            assert run_ensemble(PARAMS, sched, 0, 40, 2, 0, engine=engine).outcomes.dtype == np.int16
 
     def test_single_step_occupation_matches_chain_oracle(self):
         dt = 0.4
         sched = MeasurementSchedule(dt, 1, ProjectorPartition.fine(1))
         n = 10_000
-        records = run_ensemble(PARAMS, sched, 1, 1, n, 29, engine="gillespie")
-        freq = np.mean([r.outcomes[0] == 1 for r in records])
+        ens = run_ensemble(PARAMS, sched, 1, 1, n, 29, engine="gillespie")
+        freq = np.mean(ens.outcomes[:, 0] == 1)
         target = two_level_stay_probability(PARAMS, 1, dt)
         assert abs(freq - target) <= 3.0 * math.sqrt(target * (1.0 - target) / n)
 
@@ -185,11 +214,8 @@ class TestGillespieEngine:
         # overstates it by the known discretization bias (~1 sigma here)
         dt, steps, n = 0.005, 2000, 100_000
         sched = MeasurementSchedule(dt, steps, ProjectorPartition.fine(1))
-        exits = np.empty(n)
-        for i in range(n):
-            rec = run_trajectory_gillespie(PARAMS, sched, 1, 1, (31, i))
-            left = rec.outcomes != 1
-            exits[i] = (int(np.argmax(left)) + 1) * dt if left.any() else steps * dt
+        left = run_ensemble(PARAMS, sched, 1, 1, n, 31, engine="gillespie").outcomes != 1
+        exits = np.where(left.any(axis=1), left.argmax(axis=1) + 1, steps) * dt
         target = 1.0 / PARAMS.absorption_rate
         stderr = exits.std() / math.sqrt(n)
         assert abs(exits.mean() - target) <= 3.0 * stderr
@@ -276,30 +302,56 @@ class TestEnsemble:
         sched = MeasurementSchedule(0.05, 30, ProjectorPartition.fine(1))
         ens = run_ensemble(PARAMS, sched, 0, 1, 1, 11)
         single = run_trajectory_luders(PARAMS, sched, 0, 1, (11, 0))
-        assert np.array_equal(ens[0].outcomes, single.outcomes)
+        assert np.array_equal(ens.outcomes, single.outcomes)
 
     @pytest.mark.parametrize(
-        "partition,initial",
+        "params,partition,initial,n_traj,steps",
         [
-            (ProjectorPartition.fine(3), thermal_populations(PARAMS, 3)),
-            (ProjectorPartition(5, ((0, 1), (2, 3), (4, 5))), thermal_populations(bath_from_gamma(1.0, 0.8), 5)),
-            (coarse_partition(20), 0),
+            (PARAMS, ProjectorPartition.fine(3), thermal_populations(PARAMS, 3), 12, 40),
+            (
+                PARAMS,
+                ProjectorPartition(5, ((0, 1), (2, 3), (4, 5))),
+                thermal_populations(bath_from_gamma(1.0, 0.8), 5),
+                12,
+                40,
+            ),
+            (PARAMS, coarse_partition(20), 0, 12, 40),
+            # the level changes at nearly every readout
+            (bath_from_gamma(1.0, 5.0), ProjectorPartition.fine(40), 7, 12, 40),
+            # one record spanning many look-ahead windows
+            (PARAMS, ProjectorPartition.fine(3), 0, 1, 5000),
         ],
-        ids=["fine", "block", "coarse"],
+        ids=["fine", "block", "coarse", "fine-high-jump", "fine-long"],
     )
-    def test_engine_matches_reference_loop(self, partition, initial):
+    def test_engine_matches_reference_loop(self, params, partition, initial, n_traj, steps):
         trunc = partition.truncation
-        sched = MeasurementSchedule(0.3, 40, partition)
-        ens = run_ensemble(PARAMS, sched, initial, trunc, 12, 42)
+        sched = MeasurementSchedule(0.3, steps, partition)
+        ens = run_ensemble(params, sched, initial, trunc, n_traj, 42)
         start = pure_level(initial, trunc) if isinstance(initial, int) else initial
-        for i, rec in enumerate(ens):
-            assert np.array_equal(rec.outcomes, reference_loop(PARAMS, sched, start, trunc, (42, i)))
+        for i, row in enumerate(ens.outcomes):
+            assert np.array_equal(row, reference_loop(params, sched, start, trunc, (42, i)))
+
+    @pytest.mark.parametrize(
+        "partition,engine",
+        [
+            (ProjectorPartition.fine(4), "gillespie"),
+            (ProjectorPartition.fine(4), "luders"),
+            (coarse_partition(4), "luders"),
+        ],
+        ids=["gillespie", "fine", "coarse"],
+    )
+    def test_row_blocks_do_not_change_outcomes(self, monkeypatch, partition, engine):
+        sched = MeasurementSchedule(0.2, 30, partition)
+        whole = run_ensemble(PARAMS, sched, 1, 4, 23, 5, engine=engine)
+        monkeypatch.setattr(protocol, "BLOCK_ROWS", 5)
+        blocked = run_ensemble(PARAMS, sched, 1, 4, 23, 5, engine=engine)
+        assert np.array_equal(whole.outcomes, blocked.outcomes)
 
     def test_same_master_seed_is_bit_identical(self):
         sched = MeasurementSchedule(0.05, 50, ProjectorPartition.fine(1))
         a = run_ensemble(PARAMS, sched, 0, 1, 64, 3)
         b = run_ensemble(PARAMS, sched, 0, 1, 64, 3)
-        assert all(np.array_equal(x.outcomes, y.outcomes) for x, y in zip(a, b))
+        assert np.array_equal(a.outcomes, b.outcomes)
 
     def test_disjoint_index_ranges_do_not_collide(self):
         # near-stationary sampling makes records diverse: duplicated outcome
@@ -309,9 +361,9 @@ class TestEnsemble:
         sched = MeasurementSchedule(5.0, 30, ProjectorPartition.fine(1))
         low = run_ensemble(params, sched, 0, 1, 50, 13, first_index=0)
         high = run_ensemble(params, sched, 0, 1, 50, 13, first_index=50)
-        sequences = {tuple(r.outcomes.tolist()) for r in low + high}
+        sequences = {tuple(row) for row in np.concatenate((low.outcomes, high.outcomes)).tolist()}
         assert len(sequences) == 100
-        assert [r.trajectory_index for r in high] == list(range(50, 100))
+        assert high.first_index == 50
 
     @pytest.mark.parametrize(
         "partition,engine",
@@ -328,8 +380,8 @@ class TestEnsemble:
         whole = run_ensemble(PARAMS, sched, 1, 4, 70, 5, engine=engine)
         low = run_ensemble(PARAMS, sched, 1, 4, 23, 5, engine=engine)
         high = run_ensemble(PARAMS, sched, 1, 4, 47, 5, engine=engine, first_index=23)
-        assert [r.trajectory_index for r in low + high] == list(range(70))
-        assert all(np.array_equal(a.outcomes, b.outcomes) for a, b in zip(whole, low + high))
+        assert (low.first_index, high.first_index) == (0, 23)
+        assert np.array_equal(whole.outcomes, np.concatenate((low.outcomes, high.outcomes)))
 
     @pytest.mark.parametrize("engine", ["luders", "gillespie"])
     def test_rejects_partition_truncation_mismatch(self, engine):

@@ -5,7 +5,7 @@ import pytest
 
 from qndsim.core import bath_from_gamma
 from qndsim.measurement import ProjectorPartition
-from qndsim.protocol import MeasurementRecord, MeasurementSchedule, run_trajectory_gillespie
+from qndsim.protocol import Ensemble, MeasurementSchedule, run_trajectory_gillespie
 from qndsim.stats import (
     FitError,
     SurvivalCurve,
@@ -19,21 +19,20 @@ from qndsim.stats import (
 PARAMS = bath_from_gamma(1.0, 0.1)
 
 
-def make_record(outcomes, dt=1.0, trunc=1):
-    outcomes = np.asarray(outcomes, dtype=np.int16)
-    schedule = MeasurementSchedule(dt, outcomes.size, ProjectorPartition.fine(trunc))
-    return MeasurementRecord(schedule, int(outcomes[0]), outcomes, 0, 0, "synthetic")
+def make_ensemble(outcomes, dt=1.0, trunc=1):
+    """A synthetic ensemble; a 1-D ``outcomes`` is a single record."""
+    outcomes = np.atleast_2d(np.asarray(outcomes, dtype=np.int16))
+    schedule = MeasurementSchedule(dt, outcomes.shape[1], ProjectorPartition.fine(trunc))
+    return Ensemble(schedule, None, outcomes, 0, 0, "synthetic")
 
 
 class TestEstimateSurvival:
     def test_constant_records_never_decay(self):
-        records = [make_record([0] * 10) for _ in range(5)]
-        curve = estimate_survival(records, 0)
+        curve = estimate_survival(make_ensemble([[0] * 10] * 5), 0)
         assert np.array_equal(curve.survival, np.ones(11))
 
     def test_wrong_start_drops_immediately(self):
-        records = [make_record([1, 0, 0, 0]) for _ in range(5)]
-        curve = estimate_survival(records, 0)
+        curve = estimate_survival(make_ensemble([[1, 0, 0, 0]] * 5), 0)
         assert curve.survival[0] == 1.0
         assert not curve.survival[1:].any()
 
@@ -42,31 +41,30 @@ class TestEstimateSurvival:
         # step i must track (1-p)^i inside 3 binomial sigmas
         rng = np.random.default_rng(99)
         p_leave, steps, n = 0.05, 40, 4000
-        records = []
-        for _ in range(n):
-            outcomes = np.zeros(steps, dtype=np.int16)
+        outcomes = np.zeros((n, steps), dtype=np.int16)
+        for row in outcomes:
             exits = rng.random(steps) < p_leave
             if exits.any():
-                outcomes[int(np.argmax(exits)):] = 1
-            records.append(make_record(outcomes))
-        curve = estimate_survival(records, 0)
+                row[int(np.argmax(exits)):] = 1
+        curve = estimate_survival(make_ensemble(outcomes), 0)
         for i in (1, 5, 10, 20, 40):
             expected = (1.0 - p_leave) ** i
             sigma = math.sqrt(expected * (1.0 - expected) / n)
             assert abs(curve.survival[i] - expected) <= 3.0 * sigma
 
     def test_monotone_and_stderr(self):
-        records = [make_record([0, 0, 1, 1]), make_record([0, 1, 1, 1]), make_record([0] * 4)]
-        curve = estimate_survival(records, 0)
+        curve = estimate_survival(make_ensemble([[0, 0, 1, 1], [0, 1, 1, 1], [0] * 4]), 0)
         assert np.all(np.diff(curve.survival) <= 0.0)
         p = curve.survival
         assert curve.stderr == pytest.approx(np.sqrt(p * (1 - p) / 3.0))
 
     def test_rejects_empty_and_mixed_schedules(self):
+        # an ensemble has one schedule, so neither can reach estimate_survival
+        schedule = MeasurementSchedule(1.0, 2, ProjectorPartition.fine(1))
         with pytest.raises(ValueError):
-            estimate_survival([], 0)
+            Ensemble(schedule, 0, np.zeros((0, 2), dtype=np.int16), 0, 0, "synthetic")
         with pytest.raises(ValueError):
-            estimate_survival([make_record([0, 1]), make_record([0, 1, 1])], 0)
+            Ensemble(schedule, 0, np.zeros((2, 3), dtype=np.int16), 0, 0, "synthetic")
 
 
 class TestFitDecay:
@@ -109,7 +107,7 @@ class TestFitDecay:
 
 class TestDwellStatistics:
     def test_run_length_encoding(self):
-        dwell = dwell_statistics(make_record([0, 0, 1, 1, 1, 0], dt=1.0))
+        dwell = dwell_statistics(make_ensemble([0, 0, 1, 1, 1, 0], dt=1.0))
         assert dwell.time_per_bin == pytest.approx([3.0, 3.0])
         assert dwell.dwell_lengths[0].tolist() == [2, 1]
         assert dwell.dwell_lengths[1].tolist() == [3]
@@ -118,17 +116,30 @@ class TestDwellStatistics:
         assert dwell.interior_dwell_lengths[1].tolist() == [3]
 
     def test_constant_record_single_dwell(self):
-        dwell = dwell_statistics(make_record([1] * 7))
+        dwell = dwell_statistics(make_ensemble([1] * 7))
         assert dwell.dwell_lengths[1].tolist() == [7]
         assert dwell.counts.tolist() == [0, 7]
 
     def test_partition_identities(self):
-        record = make_record([0, 1, 1, 0, 0, 0, 1, 0], dt=0.25)
+        record = make_ensemble([0, 1, 1, 0, 0, 0, 1, 0], dt=0.25)
         dwell = dwell_statistics(record)
         assert dwell.counts.sum() == record.outcomes.size
         assert dwell.total_time == record.outcomes.size * 0.25
         assert sum(lengths.sum() for lengths in dwell.dwell_lengths) == record.outcomes.size
         assert dwell.fractions.sum() == 1.0
+
+    def test_pooled_rows_equal_concatenated_records(self):
+        rows = [[0, 0, 1, 1, 0, 1], [1, 1, 1, 1, 1, 1], [1, 0, 0, 1, 1, 0], [0, 1, 0, 0, 0, 0]]
+        pooled = dwell_statistics(make_ensemble(rows))
+        single = [dwell_statistics(make_ensemble(row)) for row in rows]
+        assert pooled.steps == 24
+        assert pooled.counts.tolist() == sum(d.counts for d in single).tolist()
+        for n in (0, 1):
+            for field in ("dwell_lengths", "interior_dwell_lengths"):
+                expected = np.concatenate([getattr(d, field)[n] for d in single])
+                assert getattr(pooled, field)[n].tolist() == expected.tolist()
+        # runs never join across rows: row 0 ends in 1 and row 1 is all 1
+        assert pooled.dwell_lengths[1].tolist() == [2, 1, 6, 1, 2, 1]
 
     def test_long_record_fraction_matches_stationary_oracle(self):
         sched = MeasurementSchedule(0.01, 400_000, ProjectorPartition.fine(1))
@@ -140,23 +151,24 @@ class TestDwellStatistics:
     def test_requires_fine_partition(self):
         part = ProjectorPartition(1, ((0, 1),))
         schedule = MeasurementSchedule(1.0, 3, part)
-        record = MeasurementRecord(schedule, 0, np.zeros(3, dtype=np.int16), 0, 0, "synthetic")
+        record = Ensemble(schedule, 0, np.zeros((1, 3), dtype=np.int16), 0, 0, "synthetic")
         with pytest.raises(ValueError):
             dwell_statistics(record)
 
 
 class TestTimeAverage:
     def test_constant_record(self):
-        assert time_average(make_record([0] * 6), 0) == 1.0
+        assert time_average(make_ensemble([0] * 6), 0) == 1.0
 
     def test_alternating_record(self):
-        assert time_average(make_record([0, 1, 0, 1]), 1) == 0.5
+        assert time_average(make_ensemble([0, 1, 0, 1]), 1) == 0.5
 
     def test_equals_dwell_fraction_exactly(self):
-        record = make_record([0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0])
-        dwell = dwell_statistics(record)
-        for n in (0, 1):
-            assert time_average(record, n) == dwell.fractions[n]
+        for outcomes in ([0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0], [[0, 1, 1], [1, 1, 0], [0, 0, 0]]):
+            ensemble = make_ensemble(outcomes)
+            dwell = dwell_statistics(ensemble)
+            for n in (0, 1):
+                assert time_average(ensemble, n) == dwell.fractions[n]
 
 
 class TestKsDistance:
