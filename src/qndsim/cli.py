@@ -235,12 +235,19 @@ def _build_parser() -> _Parser:
 _OVERRIDE_KEYS = ("gamma", "n_thermal", "trunc", "gdt", "horizon", "traj", "seed", "engine", "mode", "out")
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
+def _emit(config: RunConfig, text: str) -> int:
+    """Write ``text`` to ``--out`` (or stdout) and return the exit code: an
+    unwritable ``--out`` is a usage error."""
+    if not config.out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(config.out, "w") as fp:
             fp.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out {config.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -255,27 +262,25 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if args.command == "thermal":
-            _emit(config, cmd_thermal(config))
-        elif args.command == "relax":
-            _emit(config, cmd_relax(config))
-        elif args.command == "survival":
-            _emit(config, cmd_survival(config))
-        elif args.command == "dwell":
+            return _emit(config, cmd_thermal(config))
+        if args.command == "relax":
+            return _emit(config, cmd_relax(config))
+        if args.command == "survival":
+            return _emit(config, cmd_survival(config))
+        if args.command == "dwell":
             summary, csv = cmd_dwell(config)
             sys.stdout.write(summary)
-            _emit(config, csv)
-        elif args.command == "zeno":
+            return _emit(config, csv)
+        if args.command == "zeno":
             table, csv = cmd_zeno(config)
             sys.stdout.write(table)
-            _emit(config, csv)
-        elif args.command == "validate":
-            text, code = cmd_validate(config)
-            sys.stdout.write(text)
-            return code
+            return _emit(config, csv)
+        text, code = cmd_validate(config)
+        sys.stdout.write(text)
+        return code
     except (FitError, ZeroProbabilityError) as exc:  # statistical failure; bugs propagate
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ import numpy as np
 from .core import BathParams, BirthDeathGenerator, PopulationVector
 
 # Neglected Poisson tail per uniformization pass (total-variation error);
-# horizons are split so the Poisson mean per pass stays moderate and the
-# combined tail stays below 1e-12.
+# horizons are split so the Poisson mean per pass stays moderate.  The tails
+# of successive passes add up, so long horizons lose more mass in total.
 _TAIL = 1e-14
 _MAX_POISSON_MEAN = 128.0
 
@@ -73,9 +73,11 @@ def transition_matrix(gen: BirthDeathGenerator, duration: float) -> np.ndarray:
     """Stochastic matrix ``exp(duration * Q)`` (read-only, cached).
 
     All entries are non-negative exactly; each column sums to 1 minus the
-    neglected Poisson tail (< 1e-13 per pass, with one pass per ~128 mean
-    uniformized events), keeping the total-variation error below 1e-12 for
-    the horizons this package sweeps.
+    neglected Poisson tail.  That tail is below about 1e-13 per
+    uniformization pass, with one pass per ~128 mean uniformized events, and
+    the total-variation error grows with the number of passes: no fixed
+    bound holds for all horizons (e.g. trunc 120, n_thermal 1, duration 100
+    takes 280 passes and leaves a column deficit of 2e-12).
     """
     if duration < 0.0:
         raise ValueError(f"duration must be non-negative, got {duration}")

@@ -40,6 +40,10 @@ BLOCK_ROWS = 4096
 _WINDOW_ELEMENTS = 1 << 16
 _MIN_WINDOW = 8
 
+# Sampling times read out together from one jump path: bounds the float64
+# times and intp indices of a long record to this many elements each.
+_READOUT_CHUNK = 1 << 16
+
 
 class ZenoDomainWarning(UserWarning):
     """Persistence-time ordering degenerates (n_thermal >= 1)."""
@@ -312,10 +316,13 @@ def _jump_outcomes(
         level += 1 if rng.random() < up / total else -1
         jump_times.append(t)
         levels.append(level)
-    sample_times = schedule.dt * np.arange(1, schedule.steps + 1)
-    # paths are right-continuous: a sample at a jump instant sees the new level
-    segment = np.searchsorted(np.asarray(jump_times), sample_times, side="right")
-    out[:] = np.asarray(levels, dtype=out.dtype)[segment]
+    jumps = np.asarray(jump_times)
+    path = np.asarray(levels, dtype=out.dtype)
+    for start in range(0, schedule.steps, _READOUT_CHUNK):
+        stop = min(start + _READOUT_CHUNK, schedule.steps)
+        sample_times = schedule.dt * np.arange(start + 1, stop + 1)
+        # paths are right-continuous: a sample at a jump instant sees the new level
+        out[start:stop] = path[np.searchsorted(jumps, sample_times, side="right")]
 
 
 def survival_product(params: BathParams, k: int, dt: float, steps: int) -> float:

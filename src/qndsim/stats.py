@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .protocol import Ensemble
 
@@ -196,7 +195,13 @@ def time_average(ensemble: Ensemble, n: int) -> float:
 
 
 def ks_distance(a, b) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
+
+    scipy is imported here, on first use, so that importing the package (and
+    every command but ``validate``) does not pay for ``scipy.stats``.
+    """
+    from scipy import stats as sps
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:

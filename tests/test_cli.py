@@ -80,6 +80,12 @@ class TestExitCodes:
         assert out == ""
         assert "whole number" in err
 
+    def test_unwritable_out_is_exit_1(self, capsys, tmp_path):
+        missing = tmp_path / "missing_dir" / "x.csv"
+        code, _, err = run_cli(capsys, "relax", "--horizon", "0.05", "--out", str(missing))
+        assert code == 1
+        assert err == f"error: cannot write --out {missing}: No such file or directory\n"
+
     @pytest.mark.parametrize("error", [FitError, ZeroProbabilityError])
     def test_statistical_failure_is_exit_2(self, capsys, monkeypatch, error):
         def fail(config):

@@ -169,6 +169,24 @@ class TestLudersEngine:
         assert abs(survived - target) <= 3.0 * math.sqrt(target * (1.0 - target) / n)
 
 
+def reference_jump_record(params, schedule, level, truncation, seed_pair):
+    """The jump path drawn from ``trajectory_rng``, read out at all sampling
+    times in one ``searchsorted``."""
+    rng = trajectory_rng(*seed_pair)
+    t, jump_times, levels = 0.0, [], [level]
+    while True:
+        up = params.emission_rate * (level + 1) if level < truncation else 0.0
+        down = params.absorption_rate * level
+        t += rng.exponential(1.0 / (up + down))
+        if t >= schedule.horizon:
+            break
+        level += 1 if rng.random() < up / (up + down) else -1
+        jump_times.append(t)
+        levels.append(level)
+    sample_times = schedule.dt * np.arange(1, schedule.steps + 1)
+    return np.asarray(levels)[np.searchsorted(jump_times, sample_times, side="right")]
+
+
 class TestGillespieEngine:
     def test_requires_fine_partition(self):
         part = ProjectorPartition(1, ((0, 1),))
@@ -199,6 +217,21 @@ class TestGillespieEngine:
         sched = MeasurementSchedule(0.1, 5, ProjectorPartition.fine(40))
         for engine in ("luders", "gillespie"):
             assert run_ensemble(PARAMS, sched, 0, 40, 2, 0, engine=engine).outcomes.dtype == np.int16
+
+    def test_chunked_readout_matches_one_shot_reference(self):
+        # three whole readout chunks plus a remainder, with level changes in each
+        params = bath_from_gamma(1.0, 0.5)
+        steps = 3 * protocol._READOUT_CHUNK + 4321
+        sched = MeasurementSchedule(0.001, steps, ProjectorPartition.fine(2))
+        whole = run_ensemble(params, sched, 1, 2, 3, 7, engine="gillespie")
+        high = run_ensemble(params, sched, 1, 2, 2, 7, engine="gillespie", first_index=1)
+        assert np.array_equal(whole.outcomes[1:], high.outcomes)
+        for i, row in enumerate(whole.outcomes):
+            reference = reference_jump_record(params, sched, 1, 2, (7, i))
+            assert np.array_equal(row, reference)
+            assert np.array_equal(run_trajectory_gillespie(params, sched, 1, 2, (7, i)).outcomes[0], reference)
+            chunks = np.split(reference, range(0, steps, protocol._READOUT_CHUNK)[1:])
+            assert len(chunks) == 4 and all(np.any(np.diff(c)) for c in chunks)
 
     def test_single_step_occupation_matches_chain_oracle(self):
         dt = 0.4

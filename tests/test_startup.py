@@ -1,0 +1,46 @@
+"""Importing the package and running the non-validation commands must not
+import scipy: ``scipy.stats`` costs about a second of start-up and is needed
+only by ``stats.ks_distance``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import sys
+
+import qndsim
+import qndsim.cli
+from qndsim import cli
+from qndsim.config import RunConfig
+
+assert cli.main(["thermal"]) == 0
+cli.cmd_survival(RunConfig(traj=200, trunc=1, horizon=0.1))
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+import numpy as np
+from qndsim.stats import ks_distance
+
+rng = np.random.default_rng(3)
+a, b = rng.normal(size=300), rng.normal(0.2, 1.0, size=200)
+got = ks_distance(a, b)
+
+from scipy.stats import ks_2samp
+
+want = ks_2samp(a, b, method="asymp")
+assert got == (float(want.statistic), float(want.pvalue)), (got, want)
+print("ok")
+"""
+
+
+def test_scipy_is_imported_only_by_ks_distance():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("ok\n")
