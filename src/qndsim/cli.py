@@ -276,8 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(table)
             return _emit(config, csv)
         text, code = cmd_validate(config)
-        sys.stdout.write(text)
-        return code
+        return _emit(config, text) or code
     except (FitError, ZeroProbabilityError) as exc:  # statistical failure; bugs propagate
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

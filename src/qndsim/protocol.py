@@ -40,10 +40,6 @@ BLOCK_ROWS = 4096
 _WINDOW_ELEMENTS = 1 << 16
 _MIN_WINDOW = 8
 
-# Sampling times read out together from one jump path: bounds the float64
-# times and intp indices of a long record to this many elements each.
-_READOUT_CHUNK = 1 << 16
-
 
 class ZenoDomainWarning(UserWarning):
     """Persistence-time ordering degenerates (n_thermal >= 1)."""
@@ -316,13 +312,23 @@ def _jump_outcomes(
         level += 1 if rng.random() < up / total else -1
         jump_times.append(t)
         levels.append(level)
-    jumps = np.asarray(jump_times)
-    path = np.asarray(levels, dtype=out.dtype)
-    for start in range(0, schedule.steps, _READOUT_CHUNK):
-        stop = min(start + _READOUT_CHUNK, schedule.steps)
-        sample_times = schedule.dt * np.arange(start + 1, stop + 1)
-        # paths are right-continuous: a sample at a jump instant sees the new level
-        out[start:stop] = path[np.searchsorted(jumps, sample_times, side="right")]
+    _read_out(jump_times, levels, schedule.dt, out)
+
+
+def _read_out(jump_times: list[float], levels: list[int], dt: float, out: np.ndarray) -> None:
+    """Write the path (``levels[j]`` from ``jump_times[j-1]`` on) sampled at
+    ``dt * (i + 1)`` into ``out``: a jump's first sample number, the least k
+    with ``dt * k >= t``, is ``ceil(t / dt)`` corrected once each way with
+    that same float product (enough while ``t / dt < 2**51``)."""
+    start = 0
+    for t, level in zip(jump_times, levels):
+        k = math.ceil(t / dt)
+        k += dt * k < t
+        k -= dt * (k - 1) >= t
+        stop = max(k - 1, 0)
+        out[start:stop] = level
+        start = stop
+    out[start:] = levels[-1]
 
 
 def survival_product(params: BathParams, k: int, dt: float, steps: int) -> float:
@@ -442,31 +448,28 @@ def _coarse_outcomes(
     """Outcomes of the measurement loop under any partition, one row per row
     of ``uniforms``.
 
-    The state is an ``(n_rows, L)`` weight array: each step relaxes it by a
-    fixed-order sum over columns (not a BLAS product, whose blocking may vary
-    with the batch size), samples a bin by right-sided bisection of the
-    step's uniform into the cumulative bin masses, and collapses by mask and
-    divide.
+    The state is an ``(n_rows, 1, L)`` stack of weight rows.  Each step
+    relaxes and bins it by stacked products with ``tmat.T`` and the 0/1
+    level-to-bin indicator (one identical BLAS call per row, so a row's bits
+    do not depend on its batch as they would in a 2-D gemm), samples a bin
+    by right-sided bisection of the step's uniform into the cumulative bin
+    masses, and collapses by mask and divide.
     """
     n_rows, steps = uniforms.shape
     n_levels, n_bins = tmat.shape[0], partition.n_bins
-    columns = tmat.T
     level_bin = np.array([partition.bin_of(n) for n in range(n_levels)])
-    weights = np.broadcast_to(pop.weights, (n_rows, n_levels))
+    indicator = (level_bin[:, None] == np.arange(n_bins)).astype(float)
+    weights = np.broadcast_to(pop.weights, (n_rows, 1, n_levels))
     outcomes = np.empty((n_rows, steps), dtype=_outcome_dtype(n_bins))
     for step in range(steps):
-        relaxed = np.zeros((n_rows, n_levels))
-        for j in range(n_levels):
-            relaxed += weights[:, j, None] * columns[j]
-        masses = np.zeros((n_rows, n_bins))
-        for n, b in enumerate(level_bin):
-            masses[:, b] += relaxed[:, n]
+        relaxed = weights @ tmat.T
+        masses = (relaxed @ indicator)[:, 0]
         cum = np.cumsum(masses, axis=1)
         outcome = np.minimum((cum <= uniforms[:, step, None]).sum(axis=1), n_bins - 1)
         mass = masses[np.arange(n_rows), outcome]
         if not mass.all():
             raise ZeroProbabilityError("a sampled outcome has zero probability")
-        weights = np.where(level_bin == outcome[:, None], relaxed / mass[:, None], 0.0)
+        weights = np.where(level_bin == outcome[:, None, None], relaxed / mass[:, None, None], 0.0)
         outcomes[:, step] = outcome
     return outcomes
 

@@ -86,6 +86,22 @@ class TestExitCodes:
         assert code == 1
         assert err == f"error: cannot write --out {missing}: No such file or directory\n"
 
+    def test_validate_writes_report_to_out(self, capsys, monkeypatch, tmp_path):
+        from qndsim import validation
+
+        out = tmp_path / "v.txt"
+        for passed, code in ((True, 0), (False, 2)):
+            results = [validation.CriterionResult("AC1 stub", passed, ())]
+            monkeypatch.setattr(validation, "run_all", lambda config, results=results: results)
+            assert run_cli(capsys, "validate", "--out", str(out)) == (code, "", "")
+            report = out.read_text()
+            assert "# command: validate\n" in report
+            assert report.endswith(validation.render_results(results))
+        missing = tmp_path / "missing_dir" / "v.txt"
+        code, _, err = run_cli(capsys, "validate", "--out", str(missing))
+        assert code == 1
+        assert err == f"error: cannot write --out {missing}: No such file or directory\n"
+
     @pytest.mark.parametrize("error", [FitError, ZeroProbabilityError])
     def test_statistical_failure_is_exit_2(self, capsys, monkeypatch, error):
         def fail(config):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -147,6 +148,65 @@ class TestLudersEngine:
             assert abs(freq - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / n)
 
     @pytest.mark.parametrize(
+        "params,partition,dt,initial,digest",
+        [
+            (
+                PARAMS,
+                coarse_partition(40),
+                0.01,
+                0,
+                "8c8e7dfff8c3fcdee4844019ecee56bb3d2ead0b840a625e1b7a83970db0a969",
+            ),
+            (
+                bath_from_gamma(1.0, 2.0),
+                ProjectorPartition(40, ((0,), (1, 2, 3), tuple(range(4, 41)))),
+                0.3,
+                thermal_populations(bath_from_gamma(1.0, 2.0), 40),
+                "e91c0e3c45c36c49ef775efad357f26e7b7f680173c69d3967d87ee4e19b2961",
+            ),
+        ],
+        ids=["empty-or-not", "three-bins"],
+    )
+    def test_coarse_outcomes_are_pinned(self, params, partition, dt, initial, digest):
+        # outcomes of the per-level column loop this engine replaced, 200 x 100 at seed 0
+        sched = MeasurementSchedule(dt, 100, partition)
+        outcomes = run_ensemble(params, sched, initial, 40, 200, 0).outcomes
+        assert outcomes.dtype == np.int16 and outcomes.shape == (200, 100)
+        assert hashlib.sha256(outcomes.tobytes()).hexdigest() == digest
+
+    def test_coarse_shards_across_a_row_block_concatenate(self):
+        # one row, then the rest of the first row block, then rows of the second
+        params = bath_from_gamma(1.0, 2.0)
+        partition = ProjectorPartition(40, ((0,), (1, 2, 3), tuple(range(4, 41))))
+        sched = MeasurementSchedule(0.3, 20, partition)
+        initial = thermal_populations(params, 40)
+        n = protocol.BLOCK_ROWS + 3
+        whole = run_ensemble(params, sched, initial, 40, n, 9).outcomes
+        cuts = [0, 1, protocol.BLOCK_ROWS, n]
+        shards = [
+            run_ensemble(params, sched, initial, 40, b - a, 9, first_index=a).outcomes
+            for a, b in zip(cuts[:-1], cuts[1:])
+        ]
+        assert [len(s) for s in shards] == [1, protocol.BLOCK_ROWS - 1, 3]
+        assert np.array_equal(whole, np.concatenate(shards))
+        assert len(np.unique(whole)) == 3
+
+    @pytest.mark.parametrize("n_levels", [2, 11, 41])
+    def test_stacked_products_do_not_depend_on_the_batch(self, n_levels):
+        # the coarse engine's shard independence rests on this: a stacked
+        # (rows, 1, L) product gives each row the bits it gets alone
+        rng = np.random.default_rng(n_levels)
+        tmat = transition_matrix(build_generator(PARAMS, n_levels - 1), 0.3)
+        indicator = (np.arange(n_levels)[:, None] % 3 == np.arange(3)).astype(float)
+        weights = rng.random((300, 1, n_levels))
+        relaxed = weights @ tmat.T
+        masses = relaxed @ indicator
+        for r in (0, 1, 150, 299):
+            alone = weights[r:r + 1].copy() @ tmat.T
+            assert np.array_equal(alone.view(np.uint64), relaxed[r:r + 1].view(np.uint64))
+            assert np.array_equal((alone @ indicator).view(np.uint64), masses[r:r + 1].view(np.uint64))
+
+    @pytest.mark.parametrize(
         "partition", [ProjectorPartition.fine(3), coarse_partition(3)], ids=["fine", "coarse"]
     )
     def test_zero_probability_outcome_raises(self, monkeypatch, partition):
@@ -219,9 +279,9 @@ class TestGillespieEngine:
             assert run_ensemble(PARAMS, sched, 0, 40, 2, 0, engine=engine).outcomes.dtype == np.int16
 
     def test_chunked_readout_matches_one_shot_reference(self):
-        # three whole readout chunks plus a remainder, with level changes in each
+        # a long record, three 65 536-step blocks plus a remainder, with level changes in each
         params = bath_from_gamma(1.0, 0.5)
-        steps = 3 * protocol._READOUT_CHUNK + 4321
+        steps = 3 * 65536 + 4321
         sched = MeasurementSchedule(0.001, steps, ProjectorPartition.fine(2))
         whole = run_ensemble(params, sched, 1, 2, 3, 7, engine="gillespie")
         high = run_ensemble(params, sched, 1, 2, 2, 7, engine="gillespie", first_index=1)
@@ -230,7 +290,7 @@ class TestGillespieEngine:
             reference = reference_jump_record(params, sched, 1, 2, (7, i))
             assert np.array_equal(row, reference)
             assert np.array_equal(run_trajectory_gillespie(params, sched, 1, 2, (7, i)).outcomes[0], reference)
-            chunks = np.split(reference, range(0, steps, protocol._READOUT_CHUNK)[1:])
+            chunks = np.split(reference, range(0, steps, 65536)[1:])
             assert len(chunks) == 4 and all(np.any(np.diff(c)) for c in chunks)
 
     def test_single_step_occupation_matches_chain_oracle(self):
@@ -252,6 +312,60 @@ class TestGillespieEngine:
         target = 1.0 / PARAMS.absorption_rate
         stderr = exits.std() / math.sqrt(n)
         assert abs(exits.mean() - target) <= 3.0 * stderr
+
+
+def searchsorted_readout(jump_times, levels, dt, steps):
+    """Reference readout: every sampling time built, one right-sided search."""
+    return levels[np.searchsorted(jump_times, dt * np.arange(1, steps + 1), side="right")]
+
+
+def read_out(jump_times, levels, dt, steps):
+    out = np.full(steps, -1, dtype=levels.dtype)  # a sample left unwritten shows as -1
+    protocol._read_out(jump_times.tolist(), levels.tolist(), dt, out)
+    return out
+
+
+class TestReadOut:
+    DTS = [0.01, 0.1, 0.3, 1.0 / 3.0, 0.001, 1e-4]
+
+    @staticmethod
+    def crafted_times(dt, steps):
+        on = dt * np.array([1, 2, 3, 7, 10, 99, steps // 3, steps - 1, steps])
+        return np.concatenate([
+            on,  # exactly on a sampling time
+            np.nextafter(on, 0.0),
+            np.nextafter(on, np.inf),
+            [0.0, 0.5 * dt, np.nextafter(dt, 0.0)],  # before the first sample
+            [dt * steps + 0.5 * dt, np.nextafter(dt * steps, np.inf), 2.0 * dt * steps],  # after the last
+        ])
+
+    @pytest.mark.parametrize("dt", DTS)
+    def test_single_jump_matches_searchsorted(self, dt):
+        steps = 200_000
+        levels = np.array([0, 1], dtype=np.int16)
+        for t in self.crafted_times(dt, steps):
+            jumps = np.array([t])
+            got = read_out(jumps, levels, dt, steps)
+            assert np.array_equal(got, searchsorted_readout(jumps, levels, dt, steps)), t
+
+    @pytest.mark.parametrize("dt,steps", [(dt, 200_000) for dt in DTS] + [(0.01, 1_000_000)])
+    def test_many_jumps_match_searchsorted(self, dt, steps):
+        rng = np.random.default_rng(5)
+        near = dt * rng.integers(1, steps + 1, 500)
+        jumps = np.sort(np.concatenate([
+            self.crafted_times(dt, steps),
+            near, np.nextafter(near, 0.0), np.nextafter(near, np.inf),
+            dt * (17 + np.array([0.1, 0.2, 0.3, 0.4])),  # several jumps in one interval
+            rng.uniform(0.0, dt * steps, 500),
+        ]))
+        levels = np.arange(jumps.size + 1, dtype=np.int32)  # every run distinguishable
+        got = read_out(jumps, levels, dt, steps)
+        assert got.shape == (steps,)
+        assert np.array_equal(got, searchsorted_readout(jumps, levels, dt, steps))
+
+    def test_no_jumps_holds_the_initial_level(self):
+        got = read_out(np.array([]), np.array([3], dtype=np.int16), 0.1, 5)
+        assert got.tolist() == [3] * 5 and got.dtype == np.int16
 
 
 class TestSurvivalFormulas:
