@@ -10,11 +10,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 
-from .core import BathParams, bath_from_gamma
+from .core import BathParams, bath_from_gamma, thermal_tail_mass
 
 ENGINES = ("luders", "gillespie")
 MODES = ("paper", "exact")
 HORIZON_RTOL = 1e-9  # horizon/gdt may miss an integer by this much (float rounding)
+# Thermal mass above the truncation: warned about past TAIL_WARN, rejected
+# past TAIL_MAX.  trunc = 1 is the two-level model, not a truncation.
+TAIL_WARN = 1e-6
+TAIL_MAX = 1e-2
 
 
 class ConfigError(ValueError):
@@ -67,6 +71,13 @@ class RunConfig:
             raise ConfigError(
                 f"horizon = {self.horizon} is not a whole number of gdt = {self.gdt} steps"
             )
+        tail = thermal_tail_mass(self.bath(), self.trunc) if self.trunc > 1 else 0.0
+        dropped = (
+            f"trunc = {self.trunc} drops {tail:.2g} of the thermal mass at "
+            f"n_thermal = {self.n_thermal:g}"
+        )
+        if tail > TAIL_MAX:
+            raise ConfigError(f"{dropped} (limit {TAIL_MAX:g}): raise trunc")
         warnings = []
         if self.n_thermal >= 1.0:
             warnings.append(
@@ -78,6 +89,8 @@ class RunConfig:
                 f"{1.0 / self.n_thermal:.3g}x and the two-level analytics are first order "
                 "in n_thermal"
             )
+        if tail > TAIL_WARN:
+            warnings.append(dropped)
         return warnings
 
 

@@ -107,8 +107,8 @@ class ZenoReport:
 def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generator:
     """Private random stream of one trajectory (see :data:`SEED_DERIVATION`).
 
-    The engines derive the same streams many at a time (:func:`_streams`);
-    this is the reference they are tested against.
+    The engines derive the same streams many at a time (:func:`_uniforms`,
+    :func:`_streams`); this is the reference they are tested against.
     """
     if master_seed < 0 or trajectory_index < 0:
         raise ValueError("master_seed and trajectory_index must be non-negative")
@@ -124,6 +124,15 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Rows of at most this many steps are drawn by PCG64 in numpy arithmetic,
+# longer ones by a per-row Generator: the numpy draw costs more per double
+# but saves the Generator's fixed cost per row.  bench/streams.py measures
+# the crossover (200-250 steps at 4096 rows on a 2-vCPU Xeon VM).
+VECTOR_STEPS = 192
+# The numpy draw fills (rows, _TILE_WIDTH) tiles of about _TILE_ELEMENTS.
+_TILE_WIDTH = 16
+_TILE_ELEMENTS = 1 << 14
 
 
 def _int_words(value: int) -> list[int]:
@@ -193,21 +202,86 @@ def _seed_words(master_seed: int, first_index: int, n: int) -> np.ndarray:
     return np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)], axis=1)
 
 
+# 128-bit integers in numpy: a (high, low) pair of uint64 arrays or scalars.
+# Every operand is uint64, so the arithmetic wraps mod 2**64 the same way
+# under numpy 1.x value-based casting and numpy 2 (NEP 50) promotion.
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
+_MULT = tuple(np.uint64(v) for v in divmod(_PCG64_MULT, 1 << 64))
+
+
+def _u128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Python integers mod 2**128 as a 128-bit pair of arrays."""
+    high, low = zip(*(divmod(v & _MASK128, 1 << 64) for v in values))
+    return np.array(high, dtype=np.uint64), np.array(low, dtype=np.uint64)
+
+
+def _mulhi64(a, b):
+    """High 64 bits of the 128-bit product of uint64s ``a * b``, from 32-bit
+    limbs (Warren, Hacker's Delight, mulhu)."""
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    b0, b1 = b & _LOW32, b >> _SHIFT32
+    t = a1 * b0 + (a0 * b0 >> _SHIFT32)
+    w = (t & _LOW32) + a0 * b1
+    return a1 * b1 + (t >> _SHIFT32) + (w >> _SHIFT32)
+
+
+def _mul128(x, y):
+    """``x * y mod 2**128``; never both scalars (numpy warns when a scalar
+    product wraps)."""
+    (xh, xl), (yh, yl) = x, y
+    return _mulhi64(xl, yl) + xl * yh + xh * yl, xl * yl
+
+
+def _add128(x, y):
+    """``x + y mod 2**128``."""
+    (xh, xl), (yh, yl) = x, y
+    low = xl + yl
+    return xh + yh + (low < yl), low
+
+
+def _srandom(words: np.ndarray):
+    """PCG64's seeding from :func:`_seed_words` rows ``(initstate high, low,
+    initseq high, low)``: ``inc = 2*initseq + 1`` and ``state = (initstate +
+    inc) * mult + inc``.  Returns ``(state, inc)`` as 128-bit pairs."""
+    seq_high, seq_low = words[:, 2], words[:, 3]
+    inc = (seq_high << np.uint64(1) | seq_low >> np.uint64(63), seq_low << np.uint64(1) | np.uint64(1))
+    state = _add128(_mul128(_add128((words[:, 0], words[:, 1]), inc), _MULT), inc)
+    return state, inc
+
+
+# A_k = mult**k and C_k = sum_{j<k} mult**j for k = 1.._TILE_WIDTH: k steps
+# of the LCG take state s to A_k*s + C_k*inc (Brown 1994).
+_JUMP_A = _u128([_PCG64_MULT**k for k in range(1, _TILE_WIDTH + 1)])
+_JUMP_C = _u128([sum(_PCG64_MULT**j for j in range(k)) for k in range(1, _TILE_WIDTH + 1)])
+
+
+def _doubles(state) -> np.ndarray:
+    """PCG64's XSL-RR output of each state, as ``Generator.random`` doubles."""
+    high, low = state
+    value = high ^ low
+    rot = high >> np.uint64(58)
+    value = value >> rot | value << ((np.uint64(64) - rot) & np.uint64(63))
+    return (value >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
 def _streams(master_seed: int, first_index: int, n: int):
     """One reused Generator, set in turn to the stream of each trajectory
-    ``first_index .. first_index + n - 1``; bit-identical to
-    :func:`trajectory_rng` for each."""
+    ``first_index .. first_index + n - 1``.
+
+    Contract: the k-th Generator yielded, however it is drawn from, produces
+    bit for bit what ``trajectory_rng(master_seed, first_index + k)`` would.
+    Its state comes from the same vectorized :func:`_srandom` as the numpy
+    draw of :func:`_uniforms`.
+    """
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     for start in range(0, n, BLOCK_ROWS):
-        words = _seed_words(master_seed, first_index + start, min(BLOCK_ROWS, n - start))
-        for seed_high, seed_low, inc_high, inc_low in words.tolist():
-            # PCG64's srandom: inc = 2*initseq + 1, state = (inc + initstate) stepped once
-            inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-            state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _MASK128
+        state, inc = _srandom(_seed_words(master_seed, first_index + start, min(BLOCK_ROWS, n - start)))
+        for state_high, state_low, inc_high, inc_low in np.stack(state + inc, axis=1).tolist():
             bitgen.state = {
                 "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
+                "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
                 "has_uint32": 0,
                 "uinteger": 0,
             }
@@ -216,10 +290,37 @@ def _streams(master_seed: int, first_index: int, n: int):
 
 def _uniforms(master_seed: int, first_index: int, n: int, steps: int) -> np.ndarray:
     """``(n, steps)`` array whose row r is the first ``steps`` uniforms of
-    trajectory ``first_index + r``'s stream."""
+    trajectory ``first_index + r``'s stream.
+
+    Contract: row r is bit for bit ``trajectory_rng(master_seed, first_index
+    + r).random(steps)``, for every n, steps and index range.  Rows of more
+    than :data:`VECTOR_STEPS` steps are drawn by a per-row Generator
+    (:func:`_streams`).  Shorter ones run PCG64 in numpy over the whole block
+    without a loop over rows: ``(rows, w)`` tiles whose first is
+    ``A_k*s0 + C_k*inc`` for k = 1..w, each later one the previous stepped by
+    the constant ``s -> A_w*s + C_w*inc``.
+    """
     out = np.empty((n, steps))
-    for row, rng in zip(out, _streams(master_seed, first_index, n)):
-        rng.random(out=row)
+    if steps > VECTOR_STEPS:
+        for row, rng in zip(out, _streams(master_seed, first_index, n)):
+            rng.random(out=row)
+        return out
+    state, inc = _srandom(_seed_words(master_seed, first_index, n))
+    width = min(_TILE_WIDTH, steps)
+    jump_a, jump_c = ((high[:width], low[:width]) for high, low in (_JUMP_A, _JUMP_C))
+    step_a, step_c = ((high[width - 1], low[width - 1]) for high, low in (_JUMP_A, _JUMP_C))
+    tile_rows = max(1, _TILE_ELEMENTS // width)
+    for start in range(0, n, tile_rows):
+        rows = slice(start, start + tile_rows)
+        seed = tuple(s[rows, None] for s in state)
+        row_inc = tuple(i[rows, None] for i in inc)
+        tile = _add128(_mul128(seed, jump_a), _mul128(row_inc, jump_c))
+        shift = _mul128(row_inc, step_c)
+        for col in range(0, steps, width):
+            if col:
+                tile = _add128(_mul128(tile, step_a), shift)
+            stop = min(col + width, steps)
+            out[rows, col:stop] = _doubles(tuple(t[:, : stop - col] for t in tile))
     return out
 
 

@@ -57,6 +57,22 @@ class TestConfig:
         assert len(RunConfig(n_thermal=0.9).validate()) == 1
         assert "degenerates" in RunConfig(n_thermal=1.5).validate()[0]
 
+    def test_thermal_truncation_tail(self):
+        # the tail above trunc is (n/(n+1))**(trunc+1): at n_thermal 5 it
+        # crosses TAIL_WARN = 1e-6 between trunc 75 and 74, and TAIL_MAX =
+        # 1e-2 between trunc 25 and 24
+        def tail_warnings(**kw):
+            return [w for w in RunConfig(**kw).validate() if "thermal mass" in w]
+
+        assert tail_warnings(n_thermal=5.0, trunc=75) == []
+        assert tail_warnings(n_thermal=5.0, trunc=74) != []
+        assert tail_warnings(n_thermal=5.0, trunc=25) != []
+        with pytest.raises(ConfigError, match="thermal mass"):
+            RunConfig(n_thermal=5.0, trunc=24).validate()
+        # trunc = 1 is the two-level model, not a truncated ladder
+        assert tail_warnings(n_thermal=100.0, trunc=1) == []
+        assert tail_warnings() == []
+
 
 class TestExitCodes:
     def test_usage_error_is_exit_1(self, capsys):
@@ -119,6 +135,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_thermal", bug)
         with pytest.raises(RuntimeError, match="a bug"):
             main(["thermal", "--trunc", "1"])
+
+    def test_truncation_tail_warning_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "thermal", "--n-thermal", "5", "--trunc", "40")
+        assert code == 0
+        assert "warning: trunc = 40 drops 0.00057 of the thermal mass at n_thermal = 5\n" in err
+        assert out == cmd_thermal(RunConfig(n_thermal=5.0, trunc=40))
+        code, out, err = run_cli(capsys, "thermal", "--n-thermal", "5", "--trunc", "20")
+        assert code == 1
+        assert out == ""
+        assert "thermal mass" in err
 
     def test_soft_occupancy_warning_on_stderr(self, capsys):
         code, _, err = run_cli(capsys, "thermal", "--trunc", "1", "--n-thermal", "0.9")

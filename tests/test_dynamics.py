@@ -86,6 +86,23 @@ class TestPropagate:
         thermal = thermal_populations(PARAMS, 30)
         assert total_variation(out.weights, thermal.weights) <= 1e-10
 
+    @pytest.mark.parametrize("t", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("trunc", [1, 40, 120])
+    @pytest.mark.parametrize("n_thermal", [0.1, 1.0, 5.0])
+    def test_uniformization_error_per_pass_against_expm(self, n_thermal, trunc, t):
+        # each uniformization pass (one per 128 mean uniformized events)
+        # adds its Poisson tail and round-off, so the bound is per pass; the
+        # grid's longest point, n_thermal 5, trunc 120, t 100, takes 1027
+        # passes
+        from scipy.linalg import expm
+
+        gen = build_generator(bath_from_gamma(1.0, n_thermal), trunc)
+        passes = max(1, math.ceil(gen.outflow_rates().max() * t / 128.0))
+        tmat = transition_matrix(gen, t)
+        column_tv = 0.5 * np.abs(tmat - expm(t * gen.rate_matrix())).sum(axis=0)
+        assert column_tv.max() <= passes * 1e-13
+        assert 1.0 - tmat.sum(axis=0).min() <= passes * 1e-13
+
 
 class TestMeanRelaxation:
     def test_fixed_point(self):

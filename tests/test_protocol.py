@@ -51,6 +51,15 @@ def two_level_stay_probability(params, level, dt):
     return pi + (1.0 - pi) * math.exp(-total * dt)
 
 
+def reference_uniforms(master_seed, first_index, n, steps):
+    return np.stack([trajectory_rng(master_seed, first_index + r).random(steps) for r in range(n)])
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestStreams:
     @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**63])
     @pytest.mark.parametrize(
@@ -60,6 +69,40 @@ class TestStreams:
         got = protocol._uniforms(master_seed, first_index, n, 7)
         want = np.stack([trajectory_rng(master_seed, first_index + r).random(7) for r in range(n)])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize(
+        "first_index,n", [(5, 3), (2**32 - 2, 4), (2**63 - 1, 2)], ids=["low", "2^32", "2^63"]
+    )
+    def test_draws_on_both_sides_of_the_cut_over(self, first_index, n, offset):
+        steps = protocol.VECTOR_STEPS + offset
+        got = protocol._uniforms(2**63, first_index, n, steps)
+        assert_same_bits(got, reference_uniforms(2**63, first_index, n, steps))
+
+    def test_block_with_partial_tiles(self):
+        # 37 steps end each row in a partial tile, and BLOCK_ROWS + 3 rows
+        # end the block in a partial row tile
+        n = protocol.BLOCK_ROWS + 3
+        assert 37 % protocol._TILE_WIDTH and n % (protocol._TILE_ELEMENTS // protocol._TILE_WIDTH)
+        assert_same_bits(protocol._uniforms(11, 40, n, 37), reference_uniforms(11, 40, n, 37))
+
+    @pytest.mark.parametrize("vector_steps", [0, 10**6], ids=["generator", "numpy"])
+    def test_either_draw_gives_any_row_length(self, monkeypatch, vector_steps):
+        monkeypatch.setattr(protocol, "VECTOR_STEPS", vector_steps)
+        for steps in (1, protocol._TILE_WIDTH - 1, protocol._TILE_WIDTH + 1, 1000):
+            got = protocol._uniforms(8, 2**32 - 1, 3, steps)
+            assert_same_bits(got, reference_uniforms(8, 2**32 - 1, 3, steps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        first_index=st.one_of(st.integers(0, 2**64 - 51), st.sampled_from([2**32 - 50, 2**63 - 25])),
+        n=st.integers(1, 50),
+        steps=st.integers(1, 400),
+    )
+    def test_uniforms_match_reference_streams_property(self, master_seed, first_index, n, steps):
+        got = protocol._uniforms(master_seed, first_index, n, steps)
+        assert_same_bits(got, reference_uniforms(master_seed, first_index, n, steps))
 
     def test_streams_continue_like_reference_streams(self):
         # the jump engine interleaves exponentials and uniforms on one stream
