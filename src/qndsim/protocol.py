@@ -130,7 +130,8 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # but saves the Generator's fixed cost per row.  bench/streams.py measures
 # the crossover (200-250 steps at 4096 rows on a 2-vCPU Xeon VM).
 VECTOR_STEPS = 192
-# The numpy draw fills (rows, _TILE_WIDTH) tiles of about _TILE_ELEMENTS.
+# The numpy draw fills (rows, width) tiles of about _TILE_ELEMENTS, with the
+# fewest tiles of at most _TILE_WIDTH steps per row, all of one width.
 _TILE_WIDTH = 16
 _TILE_ELEMENTS = 1 << 14
 
@@ -298,7 +299,10 @@ def _uniforms(master_seed: int, first_index: int, n: int, steps: int) -> np.ndar
     (:func:`_streams`).  Shorter ones run PCG64 in numpy over the whole block
     without a loop over rows: ``(rows, w)`` tiles whose first is
     ``A_k*s0 + C_k*inc`` for k = 1..w, each later one the previous stepped by
-    the constant ``s -> A_w*s + C_w*inc``.
+    the constant ``s -> A_w*s + C_w*inc``.  A row takes the fewest tiles of
+    at most :data:`_TILE_WIDTH` steps, ``t = ceil(steps / 16)``, all of
+    width ``w = ceil(steps / t)``, so its last tile steps the LCG fewer than
+    t times past the row's end (100 steps: 7 tiles of 15, not 7 of 16).
     """
     out = np.empty((n, steps))
     if steps > VECTOR_STEPS:
@@ -306,7 +310,8 @@ def _uniforms(master_seed: int, first_index: int, n: int, steps: int) -> np.ndar
             rng.random(out=row)
         return out
     state, inc = _srandom(_seed_words(master_seed, first_index, n))
-    width = min(_TILE_WIDTH, steps)
+    tiles = -(-steps // _TILE_WIDTH)
+    width = -(-steps // tiles)
     jump_a, jump_c = ((high[:width], low[:width]) for high, low in (_JUMP_A, _JUMP_C))
     step_a, step_c = ((high[width - 1], low[width - 1]) for high, low in (_JUMP_A, _JUMP_C))
     tile_rows = max(1, _TILE_ELEMENTS // width)
@@ -482,10 +487,13 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     right-sided bisection of the step's uniform into column k's cumulative
     masses: it is k again exactly when ``cum_k[k-1] <= u < cum_k[k]`` (no
     upper bound at the top level, where a uniform above the column's mass
-    clamps).  So each row is scanned ahead in windows for the first uniform
-    outside its level's interval, and only there is a cumulative row
-    gathered and bisected.  The runs found are expanded into outcomes at
-    the end.
+    clamps).  So all of a row's later uniforms are first tested in one
+    contiguous comparison against its first level's interval: a row that
+    never leaves (most rows, when readouts are frequent) is done there.  A
+    row that leaves is bisected at its first leave and scanned on from the
+    next step in windows of gathered uniforms; only at a leave is a
+    cumulative row gathered and bisected.  The runs found are expanded into
+    outcomes at the end.
     """
     n_rows, steps = uniforms.shape
     n_levels = tmat.shape[0]
@@ -512,8 +520,27 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     )
     # every run of a level, as its flat start (row * steps + step) and level
     run_starts, run_levels = [np.arange(n_rows) * steps], [level.copy()]
+
+    def change(rows, at):
+        # rows leave their level at steps `at`: bisect there, start new runs
+        was = level[rows]
+        new = bisect(cum[was], uniforms[rows, at], tmat[-1, was])
+        run_starts.append(rows * steps + at)
+        run_levels.append(new)
+        level[rows] = new
+
     flat = uniforms.ravel()
-    pos = np.ones(n_rows, dtype=np.intp)  # each row's first undecided step
+    pos = np.full(n_rows, steps, dtype=np.intp)  # each row's first undecided step
+    if steps > 1:
+        # one contiguous pass finds each row's first leave of its first level
+        rest = uniforms[:, 1:]
+        leave = rest < lower[level, None]
+        leave |= rest >= upper[level, None]  # in place: one fewer (rows, steps) mask
+        first = leave.argmax(axis=1)
+        rows = np.flatnonzero(leave[np.arange(n_rows), first])
+        at = first[rows] + 1
+        change(rows, at)
+        pos[rows] = at + 1
     active = np.flatnonzero(pos < steps)
     while active.size:
         k, p = level[active], pos[active]
@@ -529,11 +556,7 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
         leave &= ahead < (steps - p)[:, None]  # reads past the row's last step
         left = leave.any(axis=1)
         step = p + np.where(left, leave.argmax(axis=1), window)
-        rows, at, was = active[left], step[left], k[left]
-        new = bisect(cum[was], uniforms[rows, at], tmat[-1, was])
-        run_starts.append(rows * steps + at)
-        run_levels.append(new)
-        level[rows] = new
+        change(active[left], step[left])
         pos[active] = step + left
         active = active[pos[active] < steps]
     starts = np.concatenate(run_starts)

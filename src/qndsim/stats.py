@@ -71,9 +71,14 @@ def estimate_survival(ensemble: Ensemble, k: int) -> SurvivalCurve:
     trajectories start pure in bin k; that is the caller's responsibility.
     """
     outcomes = ensemble.outcomes
-    alive = np.logical_and.accumulate(outcomes == k, axis=1)
-    survivors = np.concatenate(([ensemble.n_traj], alive.sum(axis=0))).astype(float)
-    times = ensemble.schedule.dt * np.arange(ensemble.schedule.steps + 1)
+    n_traj, steps = outcomes.shape
+    # each row survives exactly the steps before its first miss
+    miss = outcomes != k
+    first = miss.argmax(axis=1)
+    first[~miss[np.arange(n_traj), first]] = steps
+    lost = np.cumsum(np.bincount(first, minlength=steps + 1)[:-1])
+    survivors = (n_traj - np.concatenate(([0], lost))).astype(float)
+    times = ensemble.schedule.dt * np.arange(steps + 1)
     return SurvivalCurve(times, survivors, float(ensemble.n_traj))
 
 

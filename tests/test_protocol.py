@@ -86,6 +86,15 @@ class TestStreams:
         assert 37 % protocol._TILE_WIDTH and n % (protocol._TILE_ELEMENTS // protocol._TILE_WIDTH)
         assert_same_bits(protocol._uniforms(11, 40, n, 37), reference_uniforms(11, 40, n, 37))
 
+    @pytest.mark.parametrize("steps", [17, 31, 33, 100, 192])
+    def test_equal_width_tiles(self, steps):
+        # a row takes ceil(steps / 16) tiles of one width: 17 steps are two
+        # tiles of 9, 33 three of 11 and 100 seven of 15, while 31 and 192
+        # keep tiles of 16; at widths 9, 11 and 15 BLOCK_ROWS rows end in a
+        # partial row tile
+        n, first = protocol.BLOCK_ROWS, 2**32 - 9
+        assert_same_bits(protocol._uniforms(6, first, n, steps), reference_uniforms(6, first, n, steps))
+
     @pytest.mark.parametrize("vector_steps", [0, 10**6], ids=["generator", "numpy"])
     def test_either_draw_gives_any_row_length(self, monkeypatch, vector_steps):
         monkeypatch.setattr(protocol, "VECTOR_STEPS", vector_steps)
@@ -270,6 +279,68 @@ class TestLudersEngine:
         survived = np.mean(~outcomes.any(axis=1))
         target = survival_product(PARAMS, 0, 0.01, 100)
         assert abs(survived - target) <= 3.0 * math.sqrt(target * (1.0 - target) / n)
+
+
+# A bath so hot that at dt = 5 no level of fine(40) is kept with probability
+# above 4 %.
+HIGH_JUMP = bath_from_gamma(1.0, 50.0)
+
+
+class TestFineEngineEdges:
+    """The fine Lüders engine against :func:`reference_loop` where its first
+    contiguous pass over every row hands over to its windowed scan."""
+
+    @staticmethod
+    def matches_reference(params, sched, initial, n_traj):
+        trunc = sched.partition.truncation
+        outcomes = run_ensemble(params, sched, initial, trunc, n_traj, 42).outcomes
+        start = pure_level(initial, trunc) if isinstance(initial, int) else initial
+        for i, row in enumerate(outcomes):
+            assert np.array_equal(row, reference_loop(params, sched, start, trunc, (42, i)))
+        return outcomes
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    @pytest.mark.parametrize("initial", [0, 3], ids=["bottom", "top"])
+    def test_one_and_two_steps(self, steps, initial):
+        sched = MeasurementSchedule(0.3, steps, ProjectorPartition.fine(3))
+        self.matches_reference(PARAMS, sched, initial, 40)
+
+    def test_every_row_leaves_at_its_first_remaining_step(self):
+        sched = MeasurementSchedule(5.0, 6, ProjectorPartition.fine(40))
+        outcomes = self.matches_reference(HIGH_JUMP, sched, 7, 12)
+        assert np.all(outcomes[:, 1] != outcomes[:, 0])
+
+    def test_no_row_ever_leaves(self):
+        sched = MeasurementSchedule(1e-4, 50, ProjectorPartition.fine(3))
+        outcomes = self.matches_reference(PARAMS, sched, 0, 40)
+        assert not outcomes.any()
+
+    def test_leave_on_the_last_step(self):
+        # a stream's first uniforms do not depend on the row length, so a row
+        # whose level changes at step s leaves on its last step when run for
+        # s + 1 steps: the first change is found by the contiguous pass, the
+        # second by the windowed scan
+        sched = MeasurementSchedule(0.3, 40, ProjectorPartition.fine(3))
+        row = reference_loop(PARAMS, sched, pure_level(0, 3), 3, (42, 0))
+        changes = np.flatnonzero(np.diff(row)) + 1
+        assert changes.size >= 2
+        for step in changes[:2]:
+            short = MeasurementSchedule(0.3, int(step) + 1, sched.partition)
+            outcomes = self.matches_reference(PARAMS, short, 0, 1)
+            assert outcomes[0, -1] != outcomes[0, -2]
+
+    def test_rows_starting_at_the_top_level(self):
+        # the top level's interval has no upper bound: some rows stay there
+        # throughout, others leave
+        sched = MeasurementSchedule(0.01, 40, ProjectorPartition.fine(3))
+        stays = np.all(self.matches_reference(PARAMS, sched, 3, 20) == 3, axis=1)
+        assert stays.any() and not stays.all()
+
+    def test_rows_starting_at_mixed_levels(self):
+        params = bath_from_gamma(1.0, 0.8)
+        sched = MeasurementSchedule(0.1, 30, ProjectorPartition.fine(5))
+        outcomes = self.matches_reference(params, sched, thermal_populations(params, 5), 40)
+        assert np.unique(outcomes[:, 0]).size >= 3
 
 
 def reference_jump_record(params, schedule, level, truncation, seed_pair):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qndsim.core import bath_from_gamma
 from qndsim.measurement import ProjectorPartition
@@ -24,6 +26,15 @@ def make_ensemble(outcomes, dt=1.0, trunc=1):
     outcomes = np.atleast_2d(np.asarray(outcomes, dtype=np.int16))
     schedule = MeasurementSchedule(dt, outcomes.shape[1], ProjectorPartition.fine(trunc))
     return Ensemble(schedule, None, outcomes, 0, 0, "synthetic")
+
+
+@st.composite
+def outcome_matrices(draw):
+    """Small int16 or int32 outcome matrices over bins 0..3."""
+    n, steps = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    dtype = draw(st.sampled_from([np.int16, np.int32]))
+    values = draw(st.lists(st.integers(0, 3), min_size=n * steps, max_size=n * steps))
+    return np.array(values, dtype=dtype).reshape(n, steps)
 
 
 class TestEstimateSurvival:
@@ -65,6 +76,20 @@ class TestEstimateSurvival:
             Ensemble(schedule, 0, np.zeros((0, 2), dtype=np.int16), 0, 0, "synthetic")
         with pytest.raises(ValueError):
             Ensemble(schedule, 0, np.zeros((2, 3), dtype=np.int16), 0, 0, "synthetic")
+
+    @settings(max_examples=200, deadline=None)
+    @given(outcomes=outcome_matrices(), k=st.integers(0, 4))
+    @example(outcomes=np.array([[0, 1], [2, 3]], dtype=np.int16), k=4)  # k absent
+    @example(outcomes=np.array([[2, 2, 2], [2, 0, 2], [1, 2, 2]], dtype=np.int32), k=2)  # all-k row
+    @example(outcomes=np.array([[1], [3], [1]], dtype=np.int16), k=1)  # one step
+    def test_matches_accumulate_definition(self, outcomes, k):
+        # survivors[i] counts the rows whose first i outcomes all equal k
+        alive = np.logical_and.accumulate(outcomes == k, axis=1)
+        want = np.concatenate(([len(outcomes)], alive.sum(axis=0)))
+        schedule = MeasurementSchedule(0.5, outcomes.shape[1], ProjectorPartition.fine(4))
+        curve = estimate_survival(Ensemble(schedule, None, outcomes, 0, 0, "synthetic"), k)
+        assert np.array_equal(curve.survivors, want)
+        assert np.array_equal(curve.times, 0.5 * np.arange(outcomes.shape[1] + 1))
 
 
 class TestFitDecay:
