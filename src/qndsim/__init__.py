@@ -7,7 +7,6 @@ from .core import (
     BathParams,
     BirthDeathGenerator,
     PopulationVector,
-    bath_from_boltzmann,
     bath_from_gamma,
     build_generator,
     mean_photon,
@@ -21,7 +20,6 @@ from .measurement import (
     ZeroProbabilityError,
     luders_collapse,
     outcome_probabilities,
-    sample_outcome,
 )
 from .protocol import (
     SEED_DERIVATION,
@@ -30,11 +28,8 @@ from .protocol import (
     ZenoDomainWarning,
     ZenoReport,
     run_ensemble,
-    run_trajectory_gillespie,
-    run_trajectory_luders,
     survival_exponential,
     survival_product,
-    trajectory_rng,
     zeno_times,
 )
 from .stats import (
@@ -66,7 +61,6 @@ __all__ = [
     "ZenoDomainWarning",
     "ZenoReport",
     "ZeroProbabilityError",
-    "bath_from_boltzmann",
     "bath_from_gamma",
     "build_generator",
     "dwell_statistics",
@@ -80,15 +74,11 @@ __all__ = [
     "propagate",
     "pure_level",
     "run_ensemble",
-    "run_trajectory_gillespie",
-    "run_trajectory_luders",
-    "sample_outcome",
     "survival_exponential",
     "survival_product",
     "thermal_populations",
     "thermal_tail_mass",
     "time_average",
-    "trajectory_rng",
     "transition_matrix",
     "two_level_population",
     "zeno_times",

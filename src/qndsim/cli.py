@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
+from .config import ENGINES, MODES, ConfigError, RunConfig, load_config
 from .core import build_generator, mean_photon, pure_level, thermal_populations
 from .dynamics import mean_relaxation, transition_matrix
 from .measurement import ProjectorPartition, ZeroProbabilityError
@@ -31,7 +32,7 @@ from .protocol import (
     survival_product,
     zeno_times,
 )
-from .stats import FitError, SurvivalCurve, dwell_statistics, estimate_survival, fit_decay
+from .stats import FitError, dwell_statistics, estimate_survival, fit_decay, fit_level1_product
 
 ZENO_SWEEP = (0.1, 0.01, 0.001)
 
@@ -44,10 +45,7 @@ def _fmt(value) -> str:
 
 
 def _metadata(config: RunConfig, command: str) -> list[str]:
-    echo = " ".join(
-        f"{k}={getattr(config, k)}"
-        for k in ("gamma", "n_thermal", "trunc", "gdt", "horizon", "traj", "seed", "engine", "mode")
-    )
+    echo = " ".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config) if f.name != "out")
     return [
         f"# qndsim {__version__}",
         f"# command: {command}",
@@ -162,11 +160,7 @@ def cmd_zeno(config: RunConfig) -> tuple[str, str]:
     report = zeno_times(params)
     fit0 = _two_level_fit(config, 0, config.seed)
     fit1 = _two_level_fit(config, 1, config.seed + 1)
-    times = config.dt * np.arange(config.steps + 1)
-    analytic = np.concatenate(
-        ([1.0], [survival_product(params, 1, config.dt, i) for i in range(1, config.steps + 1)])
-    )
-    fit1_analytic = fit_decay(SurvivalCurve.from_probabilities(times, analytic))
+    fit1_analytic = fit_level1_product(params, config.dt, config.steps)
     lines = _metadata(config, "zeno")
     lines += [
         f"tau = {_fmt(report.tau)}",
@@ -215,8 +209,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--horizon", type=float, help="gamma * t to simulate (default 1.0)")
     common.add_argument("--traj", type=int, help="trajectories (dwell: record steps; default 100000)")
     common.add_argument("--seed", type=int, help="master seed (default 0)")
-    common.add_argument("--engine", choices=["luders", "gillespie"], help="trajectory engine")
-    common.add_argument("--mode", choices=["paper", "exact"], help="analytic-mode tag echoed in metadata")
+    common.add_argument("--engine", choices=ENGINES, help="trajectory engine")
+    common.add_argument("--mode", choices=MODES, help="analytic-mode tag echoed in metadata")
     common.add_argument("--config", dest="config_file", help="JSON configuration manifest")
     common.add_argument("--out", help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -230,9 +224,6 @@ def _build_parser() -> _Parser:
     ):
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
-
-
-_OVERRIDE_KEYS = ("gamma", "n_thermal", "trunc", "gdt", "horizon", "traj", "seed", "engine", "mode", "out")
 
 
 def _emit(config: RunConfig, text: str) -> int:
@@ -253,7 +244,7 @@ def _emit(config: RunConfig, text: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        overrides = {k: getattr(args, k) for k in _OVERRIDE_KEYS}
+        overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         config = load_config(args.config_file, overrides)
         for warning in config.validate():
             print(f"warning: {warning}", file=sys.stderr)

@@ -94,6 +94,8 @@ class RunConfig:
         return warnings
 
 
+# Annotations are strings here (postponed evaluation): "int", "float", "str"
+# or "str | None".
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -101,14 +103,14 @@ def _coerce(name: str, value):
     if name not in _FIELD_TYPES:
         raise ConfigError(f"unknown configuration key {name!r}")
     try:
-        if name in ("trunc", "traj", "seed"):
+        if _FIELD_TYPES[name] == "int":
             coerced = int(value)
             if coerced != float(value):
                 raise ValueError
             return coerced
-        if name in ("engine", "mode", "out"):
-            return value if value is None else str(value)
-        return float(value)
+        if _FIELD_TYPES[name] == "float":
+            return float(value)
+        return value if value is None else str(value)
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for {name!r}: {value!r}") from None
 

@@ -62,11 +62,6 @@ class BathParams:
     def n_thermal(self) -> float:
         return self.emission_rate / self.gamma
 
-    @classmethod
-    def zero_emission(cls, absorption_rate: float) -> "BathParams":
-        """Zero-temperature bath, B_e = 0 (infinite boltzmann_ratio)."""
-        return cls(0.0, float(absorption_rate))
-
 
 def bath_from_gamma(gamma: float, n_thermal: float) -> BathParams:
     """Canonical constructor from the decay rate and thermal occupancy.
@@ -79,15 +74,6 @@ def bath_from_gamma(gamma: float, n_thermal: float) -> BathParams:
     if n_thermal <= 0.0:
         raise ValueError(f"n_thermal must be positive, got {n_thermal}")
     return BathParams(gamma * n_thermal, gamma * (1.0 + n_thermal))
-
-
-def bath_from_boltzmann(boltzmann_ratio: float, absorption_rate: float) -> BathParams:
-    """Convenience constructor from the Boltzmann ratio and ``B_a``."""
-    if boltzmann_ratio <= 0.0:
-        raise ValueError("boltzmann_ratio must be positive")
-    if absorption_rate <= 0.0:
-        raise ValueError("absorption_rate must be positive")
-    return BathParams(absorption_rate * math.exp(-boltzmann_ratio), absorption_rate)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,5 @@
 """Projective QND measurements on the Fock-level diagonal: partitions of the
-level set, outcome probabilities, the Lüders state update, and sampling.
+level set, outcome probabilities, and the Lüders state update.
 
 A measurement is a partition of the levels 0..N into bins; each bin is one
 projector of a decomposition of unity.  Acting on diagonal states with these
@@ -47,11 +47,6 @@ class ProjectorPartition:
     def fine(cls, truncation: int) -> "ProjectorPartition":
         """One singleton bin per level, in level order: bin index == level."""
         return cls(truncation, tuple((n,) for n in range(truncation + 1)))
-
-    @classmethod
-    def single(cls, truncation: int) -> "ProjectorPartition":
-        """The trivial one-bin partition (measure nothing)."""
-        return cls(truncation, (tuple(range(truncation + 1)),))
 
     @property
     def n_bins(self) -> int:
@@ -103,17 +98,3 @@ def luders_collapse(pop: PopulationVector, partition: ProjectorPartition, j: int
     out = np.zeros_like(w)
     out[inside] = w[inside] / mass
     return PopulationVector(out)
-
-
-def sample_outcome(
-    pop: PopulationVector, partition: ProjectorPartition, rng: np.random.Generator
-) -> int:
-    """Draw one bin index with the probabilities of :func:`outcome_probabilities`
-    (the photon number for fine partitions).
-
-    Consumes exactly one uniform variate from ``rng``; the draw is the
-    right-sided bisection of that uniform into the cumulative bin weights.
-    """
-    cum = np.cumsum(outcome_probabilities(pop, partition))
-    j = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(j, partition.n_bins - 1)

@@ -42,7 +42,7 @@ _MIN_WINDOW = 8
 
 
 class ZenoDomainWarning(UserWarning):
-    """Persistence-time ordering degenerates (n_thermal >= 1)."""
+    """Persistence-time ordering degenerates (n_thermal outside (0, 1))."""
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,6 @@ class ZenoReport:
     tau_1: float
     slowdown_0: float
     slowdown_1: float
-
-
-def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generator:
-    """Private random stream of one trajectory (see :data:`SEED_DERIVATION`).
-
-    The engines derive the same streams many at a time (:func:`_uniforms`,
-    :func:`_streams`); this is the reference they are tested against.
-    """
-    if master_seed < 0 or trajectory_index < 0:
-        raise ValueError("master_seed and trajectory_index must be non-negative")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, trajectory_index))))
 
 
 # numpy.random.SeedSequence's hash constants (pool of four uint32 words) and
@@ -271,9 +260,10 @@ def _streams(master_seed: int, first_index: int, n: int):
     ``first_index .. first_index + n - 1``.
 
     Contract: the k-th Generator yielded, however it is drawn from, produces
-    bit for bit what ``trajectory_rng(master_seed, first_index + k)`` would.
-    Its state comes from the same vectorized :func:`_srandom` as the numpy
-    draw of :func:`_uniforms`.
+    bit for bit what ``np.random.Generator(np.random.PCG64(
+    np.random.SeedSequence((master_seed, first_index + k))))`` would.  Its
+    state comes from the same vectorized :func:`_srandom` as the numpy draw
+    of :func:`_uniforms`.
     """
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
@@ -293,8 +283,9 @@ def _uniforms(master_seed: int, first_index: int, n: int, steps: int) -> np.ndar
     """``(n, steps)`` array whose row r is the first ``steps`` uniforms of
     trajectory ``first_index + r``'s stream.
 
-    Contract: row r is bit for bit ``trajectory_rng(master_seed, first_index
-    + r).random(steps)``, for every n, steps and index range.  Rows of more
+    Contract: row r is bit for bit ``.random(steps)`` of the Generator
+    ``np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed,
+    first_index + r))))``, for every n, steps and index range.  Rows of more
     than :data:`VECTOR_STEPS` steps are drawn by a per-row Generator
     (:func:`_streams`).  Shorter ones run PCG64 in numpy over the whole block
     without a loop over rows: ``(rows, w)`` tiles whose first is
@@ -349,47 +340,6 @@ def _outcome_dtype(n_bins: int) -> type:
     return np.int16 if n_bins <= np.iinfo(np.int16).max + 1 else np.int32
 
 
-def run_trajectory_luders(
-    params: BathParams,
-    schedule: MeasurementSchedule,
-    initial: PopulationVector | int,
-    truncation: int,
-    seed_pair: tuple[int, int],
-) -> Ensemble:
-    """One trajectory of the measurement-theoretic loop: the ensemble of one
-    trajectory ``seed_pair[1]`` under master seed ``seed_pair[0]``.
-
-    Each step relaxes the current state by ``dt`` (exact chain), samples a
-    bin from the relaxed state, and applies the Lüders collapse for that
-    outcome.  Fully deterministic given ``seed_pair``.
-    """
-    master_seed, index = seed_pair
-    return run_ensemble(params, schedule, initial, truncation, 1, master_seed, first_index=index)
-
-
-def run_trajectory_gillespie(
-    params: BathParams,
-    schedule: MeasurementSchedule,
-    initial_level: int,
-    truncation: int,
-    seed_pair: tuple[int, int],
-) -> Ensemble:
-    """One trajectory of the exact continuous-time jump process, read out at
-    the sampling times: the ensemble of one trajectory ``seed_pair[1]`` under
-    master seed ``seed_pair[0]``.
-
-    Requires a fine partition (the readout is the occupied level).  Per jump
-    the stream is consumed as: one exponential for the holding time, then one
-    uniform for the jump direction (skipped when the jump would fall beyond
-    the horizon).  Accepts the degenerate zero-emission parameter set, under
-    which level 0 is absorbing.
-    """
-    master_seed, index = seed_pair
-    return run_ensemble(
-        params, schedule, initial_level, truncation, 1, master_seed, "gillespie", index
-    )
-
-
 def _jump_outcomes(
     params: BathParams,
     schedule: MeasurementSchedule,
@@ -399,7 +349,9 @@ def _jump_outcomes(
     out: np.ndarray,
 ) -> None:
     """Write the occupied level at each sampling time of one jump-process
-    path into ``out``."""
+    path into ``out``.  Per jump the stream gives one exponential holding
+    time, then (unless the jump falls past the horizon) one uniform for its
+    direction; at ``B_e = 0`` level 0 is absorbing."""
     be, ba = params.emission_rate, params.absorption_rate
     horizon = schedule.horizon
     t = 0.0
@@ -464,8 +416,8 @@ def zeno_times(params: BathParams) -> ZenoReport:
     ``tau_k = 1/(c_k*gamma)`` with c_0 = n_thermal and c_1 = 1 - n_thermal;
     both exceed tau = 1/gamma exactly when 0 < n_thermal < 1.  Outside that
     range the ordering degenerates: a :class:`ZenoDomainWarning` is emitted
-    and the raw values are reported unclipped (tau_1 is infinite at
-    n_thermal = 1 and negative above).
+    and the raw values are reported unclipped (tau_0 is infinite at
+    n_thermal = 0, tau_1 infinite at n_thermal = 1 and negative above).
     """
     nth = params.n_thermal
     gamma = params.gamma
@@ -473,8 +425,10 @@ def zeno_times(params: BathParams) -> ZenoReport:
         warnings.warn(
             f"n_thermal = {nth:g} >= 1: tau_1 is not a slowdown", ZenoDomainWarning, stacklevel=2
         )
+    elif nth == 0.0:
+        warnings.warn("n_thermal = 0: level 0 never decays", ZenoDomainWarning, stacklevel=2)
     tau = 1.0 / gamma
-    tau_0 = 1.0 / (nth * gamma)
+    tau_0 = math.inf if nth == 0.0 else 1.0 / (nth * gamma)
     tau_1 = math.inf if nth == 1.0 else 1.0 / ((1.0 - nth) * gamma)
     return ZenoReport(tau, tau_0, tau_1, tau_0 / tau, tau_1 / tau)
 
@@ -623,20 +577,17 @@ def run_ensemble(
     partition = schedule.partition
     if partition.truncation != truncation:
         raise ValueError("partition truncation mismatch")
+    pop = _as_population(initial, truncation)
+    level = _initial_level(pop)
     outcomes = np.empty((n_traj, schedule.steps), dtype=_outcome_dtype(partition.n_bins))
     if engine == "gillespie":
         if not partition.is_fine:
             raise ValueError("the jump engine requires a fine partition")
-        level = _initial_level(initial) if isinstance(initial, PopulationVector) else int(initial)
         if level is None:
             raise ValueError("the jump engine needs a definite initial level")
-        if not 0 <= level <= truncation:
-            raise ValueError(f"initial level {level} outside 0..{truncation}")
         for row, rng in zip(outcomes, _streams(master_seed, first_index, n_traj)):
             _jump_outcomes(params, schedule, level, truncation, rng, row)
     else:
-        pop = _as_population(initial, truncation)
-        level = _initial_level(pop)
         tmat = transition_matrix(build_generator(params, truncation), schedule.dt)
         for start in range(0, n_traj, BLOCK_ROWS):
             block = outcomes[start:start + BLOCK_ROWS]

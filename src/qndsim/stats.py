@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import Ensemble
+from .core import BathParams
+from .protocol import Ensemble, survival_product
 
 
 class FitError(ValueError):
@@ -130,6 +131,14 @@ def fit_decay(curve: SurvivalCurve, floor: float = 0.05, min_survivors: float = 
         raise FitError(f"fitted rate is not positive (slope = {slope!r})")
     window = FitWindow(floor, min_survivors, int(keep.sum()), float(t.min()), float(t.max()))
     return FitResult(-slope, math.sqrt(1.0 / s_tt), window)
+
+
+def fit_level1_product(params: BathParams, dt: float, steps: int) -> FitResult:
+    """Decay fit of the analytic level-1 survival product at steps 0..steps,
+    the curve whose rate the paper predicts as (1 - n_thermal)*gamma."""
+    times = dt * np.arange(steps + 1)
+    analytic = [1.0] + [survival_product(params, 1, dt, i) for i in range(1, steps + 1)]
+    return fit_decay(SurvivalCurve.from_probabilities(times, analytic))
 
 
 @dataclass(frozen=True, eq=False)

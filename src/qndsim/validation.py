@@ -29,11 +29,18 @@ from .measurement import ProjectorPartition, luders_collapse, outcome_probabilit
 from .protocol import (
     MeasurementSchedule,
     run_ensemble,
-    run_trajectory_gillespie,
     survival_exponential,
     survival_product,
 )
-from .stats import SurvivalCurve, dwell_statistics, estimate_survival, fit_decay, ks_distance, time_average
+from .stats import (
+    SurvivalCurve,
+    dwell_statistics,
+    estimate_survival,
+    fit_decay,
+    fit_level1_product,
+    ks_distance,
+    time_average,
+)
 
 
 @dataclass(frozen=True)
@@ -151,12 +158,7 @@ def check_ac3(shared: _Shared) -> CriterionResult:
         f"exact-chain target (1+n_thermal)*gamma = {target1_chain:g} (5% band)"
     )
 
-    steps = config.steps
-    times = config.dt * np.arange(steps + 1)
-    analytic = np.concatenate(
-        ([1.0], [survival_product(params, 1, config.dt, i) for i in range(1, steps + 1)])
-    )
-    fit1_analytic = fit_decay(SurvivalCurve.from_probabilities(times, analytic))
+    fit1_analytic = fit_level1_product(params, config.dt, config.steps)
     target1_analytic = (1.0 - nth) * gamma
     ok &= abs(fit1_analytic.rate - target1_analytic) <= 0.01 * target1_analytic
     details.append(
@@ -175,7 +177,7 @@ def check_ac4(shared: _Shared) -> CriterionResult:
     config, params = shared.config, shared.params
     steps = 4_000_000
     schedule = MeasurementSchedule(config.dt, steps, ProjectorPartition.fine(1))
-    record = run_trajectory_gillespie(params, schedule, 0, 1, (config.seed, 0))
+    record = run_ensemble(params, schedule, 0, 1, 1, config.seed, engine="gillespie")
     dwell = dwell_statistics(record)
     fraction = float(dwell.fractions[1])
     pi1 = params.emission_rate / (params.emission_rate + params.absorption_rate)

@@ -42,6 +42,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(manifest), {})
 
+    def test_values_are_coerced_by_field_type(self, tmp_path):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps({"trunc": 3.0, "gamma": "2", "engine": "gillespie", "out": None}))
+        config = load_config(str(manifest), {"seed": "7", "mode": "paper"})
+        assert (config.trunc, config.gamma, config.seed) == (3, 2.0, 7)
+        assert [type(v) for v in (config.trunc, config.gamma, config.seed)] == [int, float, int]
+        assert (config.engine, config.mode, config.out) == ("gillespie", "paper", None)
+        for key, value in (("trunc", 2.5), ("traj", "many"), ("horizon", [1.0])):
+            with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+                load_config(None, {key: value})
+        manifest.write_text(json.dumps({"gdt": None}))  # flags skip None; a manifest may not
+        with pytest.raises(ConfigError, match="bad value for 'gdt'"):
+            load_config(str(manifest))
+
     def test_interval_must_fit_horizon(self):
         with pytest.raises(ConfigError):
             RunConfig(gdt=2.0, horizon=1.0).validate()
@@ -276,6 +290,13 @@ class TestDeterminism:
         text = out.read_text()
         assert text.startswith("# qndsim")
         assert "gamma_t,nbar_analytic" in text
+
+    def test_default_config_line_is_pinned(self, capsys):
+        _, out, _ = run_cli(capsys, "thermal")
+        assert out.splitlines()[2] == (
+            "# config: gamma=1.0 n_thermal=0.1 trunc=40 gdt=0.01 horizon=1.0 traj=100000 "
+            "seed=0 engine=luders mode=exact"
+        )
 
     def test_metadata_precedes_header(self, capsys):
         _, out, _ = run_cli(capsys, "relax", "--horizon", "0.05")

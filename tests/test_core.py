@@ -9,7 +9,6 @@ from qndsim.core import (
     BathParams,
     BirthDeathGenerator,
     PopulationVector,
-    bath_from_boltzmann,
     bath_from_gamma,
     build_generator,
     mean_photon,
@@ -58,9 +57,11 @@ class TestBathParams:
         )
 
     def test_from_boltzmann(self):
-        params = bath_from_boltzmann(math.log(11.0), 1.1)
+        # detailed balance: B_e = B_a * exp(-boltzmann_ratio)
+        params = BathParams(1.1 * math.exp(-math.log(11.0)), 1.1)
         assert params.emission_rate == pytest.approx(0.1, rel=1e-14)
         assert params.n_thermal == pytest.approx(0.1, rel=1e-12)
+        assert params.boltzmann_ratio == pytest.approx(math.log(11.0), rel=1e-14)
 
     @pytest.mark.parametrize("gamma,n_thermal", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.2)])
     def test_rejects_nonpositive(self, gamma, n_thermal):
@@ -83,14 +84,14 @@ class TestBathParams:
         assert params.n_thermal == pytest.approx(1.0 / math.expm1(params.boltzmann_ratio), rel=1e-12)
 
     def test_zero_emission_bypass(self):
-        params = BathParams.zero_emission(1.1)
-        assert params == BathParams(0.0, 1.1)
+        # B_e = 0 is the zero-temperature bath, which bath_from_gamma refuses
+        params = BathParams(0.0, 1.1)
         assert params.emission_rate == 0.0
         assert params.gamma == 1.1
         assert params.n_thermal == 0.0
         assert params.boltzmann_ratio == math.inf
         with pytest.raises(ValueError):
-            BathParams.zero_emission(0.0)
+            BathParams(0.0, 0.0)
 
 
 class TestPopulationVector:
@@ -125,11 +126,11 @@ class TestPopulationVector:
 
 class TestThermalPopulations:
     def test_two_level_geometric(self):
-        pop = thermal_populations(bath_from_boltzmann(math.log(10.0), 1.0), 1)
+        pop = thermal_populations(BathParams(0.1, 1.0), 1)
         assert pop.weights == pytest.approx([10.0 / 11.0, 1.0 / 11.0], abs=1e-12)
 
     def test_zero_temperature_limit(self):
-        pop = thermal_populations(bath_from_boltzmann(50.0, 1.0), 8)
+        pop = thermal_populations(BathParams(math.exp(-50.0), 1.0), 8)
         expected = np.zeros(9)
         expected[0] = 1.0
         assert np.abs(pop.weights - expected).max() <= 1e-12

@@ -9,8 +9,9 @@ from qndsim.measurement import (
     ZeroProbabilityError,
     luders_collapse,
     outcome_probabilities,
-    sample_outcome,
 )
+
+from oracles import sample_outcome
 
 
 def pop(*weights):
@@ -39,7 +40,7 @@ class TestPartition:
         assert part.bin_of(2) == 2
 
     def test_single_bin(self):
-        part = ProjectorPartition.single(3)
+        part = ProjectorPartition(3, ((0, 1, 2, 3),))
         assert part.n_bins == 1
         assert not part.is_fine
 
@@ -63,7 +64,7 @@ class TestOutcomeProbabilities:
         assert outcome_probabilities(pop(0.5, 0.3, 0.2), part) == pytest.approx([0.5, 0.5])
 
     def test_single_bin_completeness(self):
-        probs = outcome_probabilities(pop(0.2, 0.5, 0.3), ProjectorPartition.single(2))
+        probs = outcome_probabilities(pop(0.2, 0.5, 0.3), ProjectorPartition(2, ((0, 1, 2),)))
         assert probs == pytest.approx([1.0])
 
     def test_rejects_truncation_mismatch(self):

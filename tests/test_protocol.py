@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 
 from qndsim import protocol
 from qndsim.core import BathParams, bath_from_gamma, build_generator, pure_level, thermal_populations
-from qndsim.dynamics import propagate, transition_matrix, two_level_population
-from qndsim.measurement import ProjectorPartition, ZeroProbabilityError, luders_collapse, sample_outcome
+from qndsim.dynamics import transition_matrix, two_level_population
+from qndsim.measurement import ProjectorPartition, ZeroProbabilityError
 from qndsim.protocol import (
     MeasurementSchedule,
     ZenoDomainWarning,
     run_ensemble,
-    run_trajectory_gillespie,
-    run_trajectory_luders,
     survival_exponential,
     survival_product,
-    trajectory_rng,
     zeno_times,
 )
+
+from oracles import reference_jump_record, reference_loop, reference_uniforms, trajectory_rng
 
 PARAMS = bath_from_gamma(1.0, 0.1)
 
@@ -30,29 +29,11 @@ def coarse_partition(truncation):
     return ProjectorPartition(truncation, ((0,), tuple(range(1, truncation + 1))))
 
 
-def reference_loop(params, schedule, initial, truncation, seed_pair):
-    """Oracle: the measurement loop written out with the public primitives,
-    relax -> sample -> collapse, one step at a time."""
-    gen = build_generator(params, truncation)
-    rng = trajectory_rng(*seed_pair)
-    state, outcomes = initial, []
-    for _ in range(schedule.steps):
-        relaxed = propagate(gen, state, schedule.dt)
-        j = sample_outcome(relaxed, schedule.partition, rng)
-        state = luders_collapse(relaxed, schedule.partition, j)
-        outcomes.append(j)
-    return np.array(outcomes)
-
-
 def two_level_stay_probability(params, level, dt):
     """Independent 2x2 oracle: P(occupying `level` at dt | started there)."""
     total = params.emission_rate + params.absorption_rate
     pi = params.emission_rate / total if level == 1 else params.absorption_rate / total
     return pi + (1.0 - pi) * math.exp(-total * dt)
-
-
-def reference_uniforms(master_seed, first_index, n, steps):
-    return np.stack([trajectory_rng(master_seed, first_index + r).random(steps) for r in range(n)])
 
 
 def assert_same_bits(got, want):
@@ -143,13 +124,13 @@ class TestSchedule:
 class TestLudersEngine:
     def test_deterministic_given_seed_pair(self):
         sched = MeasurementSchedule(0.2, 25, ProjectorPartition.fine(2))
-        a = run_trajectory_luders(PARAMS, sched, 0, 2, (5, 9))
-        b = run_trajectory_luders(PARAMS, sched, 0, 2, (5, 9))
+        a = run_ensemble(PARAMS, sched, 0, 2, 1, 5, first_index=9)
+        b = run_ensemble(PARAMS, sched, 0, 2, 1, 5, first_index=9)
         assert np.array_equal(a.outcomes, b.outcomes)
 
     def test_record_metadata(self):
         sched = MeasurementSchedule(0.2, 4, ProjectorPartition.fine(1))
-        ens = run_trajectory_luders(PARAMS, sched, pure_level(1, 1), 1, (3, 2))
+        ens = run_ensemble(PARAMS, sched, pure_level(1, 1), 1, 1, 3, first_index=2)
         assert ens.initial_level == 1
         assert (ens.master_seed, ens.first_index, ens.n_traj) == (3, 2, 1)
         assert ens.engine == "luders"
@@ -159,7 +140,7 @@ class TestLudersEngine:
     def test_block_partition_supported(self):
         part = ProjectorPartition(3, ((0, 1), (2, 3)))
         sched = MeasurementSchedule(0.5, 30, part)
-        ens = run_trajectory_luders(PARAMS, sched, 0, 3, (0, 0))
+        ens = run_ensemble(PARAMS, sched, 0, 3, 1, 0)
         assert set(np.unique(ens.outcomes)) <= {0, 1}
 
     def test_single_step_occupation_matches_chain_oracle(self):
@@ -270,7 +251,7 @@ class TestLudersEngine:
         monkeypatch.setattr(protocol, "_uniforms", top_uniforms)
         sched = MeasurementSchedule(0.5, 3, partition)
         with pytest.raises(ZeroProbabilityError):
-            run_ensemble(BathParams.zero_emission(1.1), sched, 0, 3, 2, 0)
+            run_ensemble(BathParams(0.0, 1.1), sched, 0, 3, 2, 0)
 
     def test_survival_fraction_near_product_prediction(self):
         sched = MeasurementSchedule(0.01, 100, ProjectorPartition.fine(1))
@@ -343,40 +324,22 @@ class TestFineEngineEdges:
         assert np.unique(outcomes[:, 0]).size >= 3
 
 
-def reference_jump_record(params, schedule, level, truncation, seed_pair):
-    """The jump path drawn from ``trajectory_rng``, read out at all sampling
-    times in one ``searchsorted``."""
-    rng = trajectory_rng(*seed_pair)
-    t, jump_times, levels = 0.0, [], [level]
-    while True:
-        up = params.emission_rate * (level + 1) if level < truncation else 0.0
-        down = params.absorption_rate * level
-        t += rng.exponential(1.0 / (up + down))
-        if t >= schedule.horizon:
-            break
-        level += 1 if rng.random() < up / (up + down) else -1
-        jump_times.append(t)
-        levels.append(level)
-    sample_times = schedule.dt * np.arange(1, schedule.steps + 1)
-    return np.asarray(levels)[np.searchsorted(jump_times, sample_times, side="right")]
-
-
 class TestGillespieEngine:
     def test_requires_fine_partition(self):
         part = ProjectorPartition(1, ((0, 1),))
         with pytest.raises(ValueError):
-            run_trajectory_gillespie(PARAMS, MeasurementSchedule(0.1, 5, part), 0, 1, (0, 0))
+            run_ensemble(PARAMS, MeasurementSchedule(0.1, 5, part), 0, 1, 1, 0, engine="gillespie")
 
     def test_zero_emission_makes_ground_state_absorbing(self):
-        params = BathParams.zero_emission(1.1)
+        params = BathParams(0.0, 1.1)
         sched = MeasurementSchedule(0.5, 200, ProjectorPartition.fine(1))
-        ens = run_trajectory_gillespie(params, sched, 0, 1, (0, 0))
+        ens = run_ensemble(params, sched, 0, 1, 1, 0, engine="gillespie")
         assert not ens.outcomes.any()
 
     def test_zero_emission_decays_into_ground(self):
-        params = BathParams.zero_emission(1.1)
+        params = BathParams(0.0, 1.1)
         sched = MeasurementSchedule(0.5, 60, ProjectorPartition.fine(1))
-        outcomes = run_trajectory_gillespie(params, sched, 1, 1, (0, 4)).outcomes[0]
+        outcomes = run_ensemble(params, sched, 1, 1, 1, 0, "gillespie", first_index=4).outcomes[0]
         assert outcomes[-1] == 0
         # once absorbed it never leaves
         first_zero = int(np.argmax(outcomes == 0))
@@ -384,7 +347,7 @@ class TestGillespieEngine:
 
     def test_outcomes_hold_levels_beyond_int16(self):
         sched = MeasurementSchedule(1e-4, 5, ProjectorPartition.fine(40_000))
-        ens = run_trajectory_gillespie(PARAMS, sched, 33_000, 40_000, (0, 0))
+        ens = run_ensemble(PARAMS, sched, 33_000, 40_000, 1, 0, engine="gillespie")
         assert np.all(np.abs(ens.outcomes.astype(int) - 33_000) <= 100)
 
     def test_small_partitions_keep_int16_outcomes(self):
@@ -403,7 +366,8 @@ class TestGillespieEngine:
         for i, row in enumerate(whole.outcomes):
             reference = reference_jump_record(params, sched, 1, 2, (7, i))
             assert np.array_equal(row, reference)
-            assert np.array_equal(run_trajectory_gillespie(params, sched, 1, 2, (7, i)).outcomes[0], reference)
+            single = run_ensemble(params, sched, 1, 2, 1, 7, "gillespie", first_index=i)
+            assert np.array_equal(single.outcomes[0], reference)
             chunks = np.split(reference, range(0, steps, 65536)[1:])
             assert len(chunks) == 4 and all(np.any(np.diff(c)) for c in chunks)
 
@@ -551,6 +515,12 @@ class TestZenoTimes:
             report = zeno_times(bath_from_gamma(1.0, 1.5))
         assert report.tau_1 < 0  # reported unclipped
 
+    def test_zero_emission_warns_with_infinite_tau_0(self):
+        with pytest.warns(ZenoDomainWarning):
+            report = zeno_times(BathParams(0.0, 1.0))
+        assert report.tau == 1.0 and report.tau_1 == 1.0
+        assert math.isinf(report.tau_0) and math.isinf(report.slowdown_0)
+
     def test_slowdowns_exceed_one_below_unit_occupancy(self):
         for nth in (0.05, 0.3, 0.7, 0.95):
             report = zeno_times(bath_from_gamma(1.3, nth))
@@ -560,10 +530,15 @@ class TestZenoTimes:
 
 class TestEnsemble:
     def test_singleton_matches_single_trajectory(self):
-        sched = MeasurementSchedule(0.05, 30, ProjectorPartition.fine(1))
-        ens = run_ensemble(PARAMS, sched, 0, 1, 1, 11)
-        single = run_trajectory_luders(PARAMS, sched, 0, 1, (11, 0))
-        assert np.array_equal(ens.outcomes, single.outcomes)
+        # trajectory i alone is the ensemble of one at first_index = i
+        sched = MeasurementSchedule(0.5, 30, ProjectorPartition.fine(2))
+        for engine in ("luders", "gillespie"):
+            whole = run_ensemble(PARAMS, sched, 0, 2, 5, 11, engine=engine)
+            for i, row in enumerate(whole.outcomes):
+                single = run_ensemble(PARAMS, sched, 0, 2, 1, 11, engine=engine, first_index=i)
+                assert single.first_index == i
+                assert np.array_equal(single.outcomes[0], row)
+            assert np.unique(whole.outcomes, axis=0).shape[0] > 1
 
     @pytest.mark.parametrize(
         "params,partition,initial,n_traj,steps",
@@ -649,8 +624,14 @@ class TestEnsemble:
         sched = MeasurementSchedule(0.01, 20, ProjectorPartition.fine(3))
         with pytest.raises(ValueError, match="partition truncation"):
             run_ensemble(PARAMS, sched, 0, 5, 100, 0, engine=engine)
-        with pytest.raises(ValueError, match="partition truncation"):
-            run_trajectory_luders(PARAMS, sched, 0, 5, (0, 0))
+
+    @pytest.mark.parametrize("engine", ["luders", "gillespie"])
+    def test_rejects_initial_truncation_mismatch(self, engine):
+        sched = MeasurementSchedule(0.01, 5, ProjectorPartition.fine(3))
+        with pytest.raises(ValueError, match="initial truncation 10 != requested truncation 3"):
+            run_ensemble(PARAMS, sched, pure_level(2, 10), 3, 2, 0, engine=engine)
+        with pytest.raises(ValueError, match="level 4 outside 0..3"):
+            run_ensemble(PARAMS, sched, 4, 3, 2, 0, engine=engine)
 
     def test_rejects_bad_engine_and_size(self):
         sched = MeasurementSchedule(0.05, 5, ProjectorPartition.fine(1))

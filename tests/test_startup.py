@@ -44,3 +44,27 @@ def test_scipy_is_imported_only_by_ks_distance():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n")
+
+
+def test_public_names_are_pinned():
+    import qndsim
+    from qndsim.core import BathParams
+    from qndsim.measurement import ProjectorPartition
+
+    assert sorted(qndsim.__all__) == [
+        "BathParams", "BirthDeathGenerator", "DwellStats", "Ensemble", "FitError", "FitResult",
+        "FitWindow", "MeasurementSchedule", "PopulationVector", "ProjectorPartition",
+        "SEED_DERIVATION", "SurvivalCurve", "ZenoDomainWarning", "ZenoReport",
+        "ZeroProbabilityError", "bath_from_gamma", "build_generator", "dwell_statistics",
+        "estimate_survival", "fit_decay", "ks_distance", "luders_collapse", "mean_photon",
+        "mean_relaxation", "outcome_probabilities", "propagate", "pure_level", "run_ensemble",
+        "survival_exponential", "survival_product", "thermal_populations", "thermal_tail_mass",
+        "time_average", "transition_matrix", "two_level_population", "zeno_times",
+    ]
+    assert all(hasattr(qndsim, name) for name in qndsim.__all__)
+    # one-trajectory wrappers, test references and constructors nothing runs
+    for name in ("bath_from_boltzmann", "run_trajectory_gillespie", "run_trajectory_luders",
+                 "sample_outcome", "trajectory_rng"):
+        assert not hasattr(qndsim, name), name
+    assert not hasattr(ProjectorPartition, "single")
+    assert not hasattr(BathParams, "zero_emission")

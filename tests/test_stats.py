@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qndsim.core import bath_from_gamma
 from qndsim.measurement import ProjectorPartition
-from qndsim.protocol import Ensemble, MeasurementSchedule, run_trajectory_gillespie
+from qndsim.protocol import Ensemble, MeasurementSchedule, run_ensemble
 from qndsim.stats import (
     FitError,
     SurvivalCurve,
@@ -168,7 +168,7 @@ class TestDwellStatistics:
 
     def test_long_record_fraction_matches_stationary_oracle(self):
         sched = MeasurementSchedule(0.01, 400_000, ProjectorPartition.fine(1))
-        record = run_trajectory_gillespie(PARAMS, sched, 0, 1, (2, 0))
+        record = run_ensemble(PARAMS, sched, 0, 1, 1, 2, engine="gillespie")
         dwell = dwell_statistics(record)
         pi1 = PARAMS.emission_rate / (PARAMS.emission_rate + PARAMS.absorption_rate)
         assert abs(dwell.fractions[1] - pi1) <= 0.02
