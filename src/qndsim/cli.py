@@ -26,15 +26,21 @@ from .dynamics import mean_relaxation, transition_matrix
 from .measurement import ProjectorPartition, ZeroProbabilityError
 from .protocol import (
     SEED_DERIVATION,
+    ZENO_SWEEP,
     MeasurementSchedule,
     run_ensemble,
     survival_exponential,
     survival_product,
     zeno_times,
 )
-from .stats import FitError, dwell_statistics, estimate_survival, fit_decay, fit_level1_product
-
-ZENO_SWEEP = (0.1, 0.01, 0.001)
+from .stats import (
+    FitError,
+    dwell_statistics,
+    estimate_survival,
+    fit_decay,
+    fit_level1_product,
+    two_level_curve,
+)
 
 
 def _fmt(value) -> str:
@@ -145,21 +151,12 @@ def cmd_dwell(config: RunConfig) -> tuple[str, str]:
     return summary, csv
 
 
-def _two_level_fit(config: RunConfig, level: int, master_seed: int):
-    """Persistence fit on the two-level truncation (the regime where the
-    slowdown formulas live)."""
-    params = config.bath()
-    schedule = MeasurementSchedule(config.dt, config.steps, ProjectorPartition.fine(1))
-    ensemble = run_ensemble(params, schedule, level, 1, config.traj, master_seed)
-    return fit_decay(estimate_survival(ensemble, level))
-
-
 def cmd_zeno(config: RunConfig) -> tuple[str, str]:
     """Persistence-time report plus the quasicontinuity sweep CSV."""
     params = config.bath()
     report = zeno_times(params)
-    fit0 = _two_level_fit(config, 0, config.seed)
-    fit1 = _two_level_fit(config, 1, config.seed + 1)
+    fit0 = fit_decay(two_level_curve(params, config.dt, config.steps, 0, config.traj, config.seed))
+    fit1 = fit_decay(two_level_curve(params, config.dt, config.steps, 1, config.traj, config.seed))
     fit1_analytic = fit_level1_product(params, config.dt, config.steps)
     lines = _metadata(config, "zeno")
     lines += [

@@ -389,6 +389,10 @@ def _read_out(jump_times: list[float], levels: list[int], dt: float, out: np.nda
     out[start:] = levels[-1]
 
 
+# Sampling intervals gamma*dt of the quasicontinuity sweep (zeno, AC6).
+ZENO_SWEEP = (0.1, 0.01, 0.001)
+
+
 def survival_product(params: BathParams, k: int, dt: float, steps: int) -> float:
     """Probability that ``steps`` consecutive measurements spaced ``dt`` apart
     all return level k, starting from pure level k: the single-interval

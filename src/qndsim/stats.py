@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BathParams
-from .protocol import Ensemble, survival_product
+from .measurement import ProjectorPartition
+from .protocol import Ensemble, MeasurementSchedule, run_ensemble, survival_product
 
 
 class FitError(ValueError):
@@ -133,9 +134,23 @@ def fit_decay(curve: SurvivalCurve, floor: float = 0.05, min_survivors: float = 
     return FitResult(-slope, math.sqrt(1.0 / s_tt), window)
 
 
+def two_level_curve(
+    params: BathParams, dt: float, steps: int, k: int, n_traj: int, master_seed: int
+) -> SurvivalCurve:
+    """Monte Carlo survival in level k on the two-level truncation (the
+    regime where the slowdown formulas live), from ``n_traj`` trajectories
+    started in level k with master seed ``master_seed + k``."""
+    schedule = MeasurementSchedule(dt, steps, ProjectorPartition.fine(1))
+    return estimate_survival(run_ensemble(params, schedule, k, 1, n_traj, master_seed + k), k)
+
+
 def fit_level1_product(params: BathParams, dt: float, steps: int) -> FitResult:
     """Decay fit of the analytic level-1 survival product at steps 0..steps,
-    the curve whose rate the paper predicts as (1 - n_thermal)*gamma."""
+    the curve whose rate the paper predicts as (1 - n_thermal)*gamma.
+    Raises :class:`FitError` at n_thermal >= 1, where the product does not
+    decay."""
+    if params.n_thermal >= 1.0:
+        raise FitError(f"the level-1 product does not decay at n_thermal = {params.n_thermal:g} >= 1")
     times = dt * np.arange(steps + 1)
     analytic = [1.0] + [survival_product(params, 1, dt, i) for i in range(1, steps + 1)]
     return fit_decay(SurvivalCurve.from_probabilities(times, analytic))

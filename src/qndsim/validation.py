@@ -26,20 +26,15 @@ from .core import (
 )
 from .dynamics import mean_relaxation, propagate
 from .measurement import ProjectorPartition, luders_collapse, outcome_probabilities
-from .protocol import (
-    MeasurementSchedule,
-    run_ensemble,
-    survival_exponential,
-    survival_product,
-)
+from .protocol import ZENO_SWEEP, MeasurementSchedule, run_ensemble, survival_exponential, survival_product
 from .stats import (
     SurvivalCurve,
     dwell_statistics,
-    estimate_survival,
     fit_decay,
     fit_level1_product,
     ks_distance,
     time_average,
+    two_level_curve,
 )
 
 
@@ -68,35 +63,24 @@ def _tv(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class _Shared:
-    """Lazily built artifacts reused across criteria."""
+    """Lazily built artifacts reused across criteria: ``curve_from_0`` and
+    ``curve_from_1``, the two-level survival curves from levels 0 and 1."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.bath()
 
-    @cached_property
-    def two_level_schedule(self) -> MeasurementSchedule:
-        return MeasurementSchedule(self.config.dt, self.config.steps, ProjectorPartition.fine(1))
-
-    @cached_property
-    def ensemble_from_0(self):
-        return run_ensemble(
-            self.params, self.two_level_schedule, 0, 1, self.config.traj, self.config.seed
-        )
+    def _curve(self, k: int) -> SurvivalCurve:
+        c = self.config
+        return two_level_curve(self.params, c.dt, c.steps, k, c.traj, c.seed)
 
     @cached_property
     def curve_from_0(self) -> SurvivalCurve:
-        return estimate_survival(self.ensemble_from_0, 0)
-
-    @cached_property
-    def ensemble_from_1(self):
-        return run_ensemble(
-            self.params, self.two_level_schedule, 1, 1, self.config.traj, self.config.seed + 1
-        )
+        return self._curve(0)
 
     @cached_property
     def curve_from_1(self) -> SurvivalCurve:
-        return estimate_survival(self.ensemble_from_1, 1)
+        return self._curve(1)
 
 
 def check_ac1(shared: _Shared) -> CriterionResult:
@@ -236,7 +220,7 @@ def check_ac6(shared: _Shared) -> CriterionResult:
     exponential = survival_exponential(params, 0, gt / gamma)
     gaps = []
     details, ok = [], True
-    for x in (0.1, 0.01, 0.001):
+    for x in ZENO_SWEEP:
         steps = round(gt / x)
         product = survival_product(params, 0, x / gamma, steps)
         gap = abs(product - exponential)
@@ -265,139 +249,117 @@ def _random_partition(rng, truncation: int) -> ProjectorPartition:
     return ProjectorPartition(truncation, tuple(tuple(b) for b in np.split(levels, cuts)))
 
 
-def check_ac7(shared: _Shared, cases: int = 100) -> CriterionResult:
-    """Randomized-parameter invariant suite (seeded, >= 100 cases each)."""
-    seed = shared.config.seed
-    details, ok = [], True
+def _normalization(rng, _) -> bool:
+    params = _random_bath(rng)
+    n = int(rng.integers(1, 25))
+    gen = build_generator(params, n)
+    pop = _random_population(rng, n)
+    out = propagate(gen, pop, rng.uniform(0.0, 5.0) / params.gamma).weights
+    return abs(out.sum() - 1.0) > 1e-9 or out.min() < 0.0
 
-    def report(name, failures, note=""):
-        nonlocal ok
-        ok &= failures == 0
-        details.append(f"{name}: {cases - failures}/{cases} cases{note}")
 
-    rng = np.random.default_rng((seed, 71))
-    fails = 0
-    for _ in range(cases):
-        params = _random_bath(rng)
-        n = int(rng.integers(1, 25))
-        gen = build_generator(params, n)
-        pop = _random_population(rng, n)
-        t = rng.uniform(0.0, 5.0) / params.gamma
-        out = propagate(gen, pop, t).weights
-        if abs(out.sum() - 1.0) > 1e-9 or out.min() < 0.0:
-            fails += 1
-    report("propagate normalization and positivity", fails)
+def _stationarity(rng, _) -> bool:
+    params = _random_bath(rng)
+    n = int(rng.integers(1, 25))
+    thermal = thermal_populations(params, n)
+    drifted = propagate(build_generator(params, n), thermal, rng.uniform(0.0, 5.0) / params.gamma)
+    return _tv(drifted.weights, thermal.weights) > 1e-10
 
-    rng = np.random.default_rng((seed, 72))
-    fails = 0
-    for _ in range(cases):
-        params = _random_bath(rng)
-        n = int(rng.integers(1, 25))
-        thermal = thermal_populations(params, n)
-        drift = _tv(propagate(build_generator(params, n), thermal, rng.uniform(0.0, 5.0) / params.gamma).weights, thermal.weights)
-        if drift > 1e-10:
-            fails += 1
-    report("thermal stationarity (TV <= 1e-10)", fails)
 
-    rng = np.random.default_rng((seed, 73))
-    fails = 0
-    for _ in range(cases):
-        params = _random_bath(rng)
-        n = int(rng.integers(1, 40))
-        gen = build_generator(params, n)
-        pi = thermal_populations(params, n).weights
-        flux_up = gen.up * pi[:-1]
-        flux_down = gen.down * pi[1:]
-        if np.any(np.abs(flux_up - flux_down) > 1e-12 * np.maximum(flux_up, 1.0)):
-            fails += 1
-    report("generator detailed balance (rel <= 1e-12)", fails)
+def _detailed_balance(rng, _) -> bool:
+    params = _random_bath(rng)
+    n = int(rng.integers(1, 40))
+    gen = build_generator(params, n)
+    pi = thermal_populations(params, n).weights
+    flux_up, flux_down = gen.up * pi[:-1], gen.down * pi[1:]
+    return np.any(np.abs(flux_up - flux_down) > 1e-12 * np.maximum(flux_up, 1.0))
 
-    rng = np.random.default_rng((seed, 74))
-    fails = 0
-    for _ in range(cases):
-        params = _random_bath(rng)
-        n = int(rng.integers(1, 25))
-        gen = build_generator(params, n)
-        pop = _random_population(rng, n)
-        s, t = rng.uniform(0.0, 2.5, size=2) / params.gamma
-        direct = propagate(gen, pop, s + t).weights
-        chained = propagate(gen, propagate(gen, pop, s), t).weights
-        if _tv(direct, chained) > 1e-9:
-            fails += 1
-    report("semigroup property (TV <= 1e-9)", fails)
 
-    rng = np.random.default_rng((seed, 75))
-    fails = 0
-    for _ in range(cases):
-        n = int(rng.integers(1, 25))
-        pop = _random_population(rng, n)
-        part = _random_partition(rng, n)
-        j = int(rng.integers(part.n_bins))
-        once = luders_collapse(pop, part, j)
-        twice = luders_collapse(once, part, j)
-        if not np.array_equal(once.weights, twice.weights):
-            fails += 1
-    report("collapse idempotence (exact)", fails)
+def _semigroup(rng, _) -> bool:
+    params = _random_bath(rng)
+    n = int(rng.integers(1, 25))
+    gen = build_generator(params, n)
+    pop = _random_population(rng, n)
+    s, t = rng.uniform(0.0, 2.5, size=2) / params.gamma
+    direct = propagate(gen, pop, s + t).weights
+    return _tv(direct, propagate(gen, propagate(gen, pop, s), t).weights) > 1e-9
 
-    rng = np.random.default_rng((seed, 76))
-    fails = 0
-    for _ in range(cases):
-        n = int(rng.integers(1, 25))
-        part = _random_partition(rng, n)
-        j = int(rng.integers(part.n_bins))
-        inside = np.zeros(n + 1)
-        idx = np.asarray(part.bins[j])
-        w = rng.random(idx.size) + 1e-3
-        inside[idx] = w / w.sum()
-        supported = PopulationVector(inside)
-        if luders_collapse(supported, part, j) is not supported:
-            fails += 1
-        if part.n_bins > 1:
-            mixed = _random_population(rng, n)  # >= 1e-3 everywhere: mass outside j
-            if np.array_equal(luders_collapse(mixed, part, j).weights, mixed.weights):
-                fails += 1
-    report("no-destruction iff support inside bin", fails)
 
-    rng = np.random.default_rng((seed, 77))
-    fails = 0
-    for _ in range(cases):
-        n = int(rng.integers(1, 25))
-        pop = _random_population(rng, n)
-        part = _random_partition(rng, n)
-        probs = outcome_probabilities(pop, part)
-        mixture = np.zeros(n + 1)
-        for j, p in enumerate(probs):
-            if p > 0.0:
-                mixture += p * luders_collapse(pop, part, j).weights
-        if np.abs(mixture - pop.weights).max() > 1e-12:
-            fails += 1
-    report("law of total probability (<= 1e-12)", fails)
+def _idempotence(rng, _) -> bool:
+    n = int(rng.integers(1, 25))
+    pop = _random_population(rng, n)
+    part = _random_partition(rng, n)
+    j = int(rng.integers(part.n_bins))
+    once = luders_collapse(pop, part, j)
+    return not np.array_equal(once.weights, luders_collapse(once, part, j).weights)
 
+
+def _no_destruction(rng, _) -> int:
+    n = int(rng.integers(1, 25))
+    part = _random_partition(rng, n)
+    j = int(rng.integers(part.n_bins))
+    inside = np.zeros(n + 1)
+    idx = np.asarray(part.bins[j])
+    w = rng.random(idx.size) + 1e-3
+    inside[idx] = w / w.sum()
+    supported = PopulationVector(inside)
+    fails = luders_collapse(supported, part, j) is not supported
+    if part.n_bins > 1:
+        mixed = _random_population(rng, n)  # >= 1e-3 everywhere: mass outside j
+        fails += np.array_equal(luders_collapse(mixed, part, j).weights, mixed.weights)
+    return fails
+
+
+def _total_probability(rng, _) -> bool:
+    n = int(rng.integers(1, 25))
+    pop = _random_population(rng, n)
+    part = _random_partition(rng, n)
+    mixture = np.zeros(n + 1)
+    for j, p in enumerate(outcome_probabilities(pop, part)):
+        if p > 0.0:
+            mixture += p * luders_collapse(pop, part, j).weights
+    return np.abs(mixture - pop.weights).max() > 1e-12
+
+
+def _renewal(rng, _) -> bool:
     # The renewal split is an exact identity; in floating point each side
     # carries its own rounding, so equality is asserted at a few ulp.
-    rng = np.random.default_rng((seed, 78))
-    fails = 0
-    for _ in range(cases):
-        params = _random_bath(rng)
-        k = int(rng.integers(2))
-        dt = rng.uniform(0.001, 0.5) / params.gamma
-        a, b = int(rng.integers(1, 400)), int(rng.integers(1, 400))
-        whole = survival_product(params, k, dt, a + b)
-        split = survival_product(params, k, dt, a) * survival_product(params, k, dt, b)
-        if abs(whole - split) > 1e-13 * abs(whole):
-            fails += 1
-    report("renewal product identity (<= 1e-13 relative)", fails)
+    params = _random_bath(rng)
+    k = int(rng.integers(2))
+    dt = rng.uniform(0.001, 0.5) / params.gamma
+    a, b = int(rng.integers(1, 400)), int(rng.integers(1, 400))
+    whole = survival_product(params, k, dt, a + b)
+    split = survival_product(params, k, dt, a) * survival_product(params, k, dt, b)
+    return abs(whole - split) > 1e-13 * abs(whole)
 
-    rng = np.random.default_rng((seed, 79))
-    fails = 0
-    occupancies = [0.02, 0.05, 0.1, 0.2] + list(rng.uniform(0.005, 0.2, size=cases - 4))
-    for nth in occupancies:
-        params = bath_from_gamma(1.0, float(nth))
-        w1 = float(thermal_populations(params, 30).weights[1])
-        if abs(w1 - nth) > 3.0 * nth**2:
-            fails += 1
-    report("thermal w_1 vs n_thermal bound (<= 3*n^2)", fails)
 
+def _thermal_w1(rng, i) -> bool:
+    nth = (0.02, 0.05, 0.1, 0.2)[i] if i < 4 else rng.uniform(0.005, 0.2)
+    w1 = float(thermal_populations(bath_from_gamma(1.0, nth), 30).weights[1])
+    return abs(w1 - nth) > 3.0 * nth**2
+
+
+def check_ac7(shared: _Shared, cases: int = 100) -> CriterionResult:
+    """Randomized-parameter invariant suite (seeded, >= 100 cases each).
+    Invariant j draws its cases, in order, from ``default_rng((seed, 71 + j))``;
+    a case takes that generator and its index and returns its failure count."""
+    invariants = (
+        ("propagate normalization and positivity", _normalization),
+        ("thermal stationarity (TV <= 1e-10)", _stationarity),
+        ("generator detailed balance (rel <= 1e-12)", _detailed_balance),
+        ("semigroup property (TV <= 1e-9)", _semigroup),
+        ("collapse idempotence (exact)", _idempotence),
+        ("no-destruction iff support inside bin", _no_destruction),
+        ("law of total probability (<= 1e-12)", _total_probability),
+        ("renewal product identity (<= 1e-13 relative)", _renewal),
+        ("thermal w_1 vs n_thermal bound (<= 3*n^2)", _thermal_w1),
+    )
+    details, ok = [], True
+    for j, (label, case) in enumerate(invariants):
+        rng = np.random.default_rng((shared.config.seed, 71 + j))
+        fails = sum(int(case(rng, i)) for i in range(cases))
+        ok &= fails == 0
+        details.append(f"{label}: {cases - fails}/{cases} cases")
     return CriterionResult("AC7 invariant property suite", ok, tuple(details))
 
 
@@ -418,8 +380,7 @@ def check_ac8(shared: _Shared, earlier: list[CriterionResult]) -> CriterionResul
     config, params = shared.config, shared.params
     details, ok = [], True
 
-    rerun = [check(_Shared(config)) for check in
-             (check_ac1, check_ac2, check_ac3, check_ac4, check_ac5, check_ac6, check_ac7)]
+    rerun = [check(_Shared(config)) for check in ALL_CHECKS]
     identical = render_results(rerun) == render_results(earlier)
     ok &= identical
     details.append(f"criteria AC1-AC7 rerun byte-identical: {identical}")

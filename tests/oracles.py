@@ -46,12 +46,15 @@ def reference_uniforms(master_seed, first_index, n, steps):
 
 def reference_jump_record(params, schedule, level, truncation, seed_pair):
     """The jump path drawn from ``trajectory_rng``, read out at all sampling
-    times in one ``searchsorted``."""
+    times in one ``searchsorted``.  A level with no outgoing rate holds to
+    the horizon."""
     rng = trajectory_rng(*seed_pair)
     t, jump_times, levels = 0.0, [], [level]
     while True:
         up = params.emission_rate * (level + 1) if level < truncation else 0.0
         down = params.absorption_rate * level
+        if up + down == 0.0:
+            break
         t += rng.exponential(1.0 / (up + down))
         if t >= schedule.horizon:
             break

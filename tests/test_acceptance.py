@@ -69,6 +69,28 @@ def test_ac7_invariant_property_suite(results):
     report(results["AC7"])
 
 
+@pytest.mark.parametrize(
+    "name, fault, line",
+    [
+        # every renewal split is off by about 1e-9 relative
+        ("survival_product", lambda f: lambda *args: f(*args) * (1.0 + 1e-9),
+         "renewal product identity (<= 1e-13 relative): 0/100 cases"),
+        # a collapse that never collapses fails the 72 drawn partitions with
+        # more than one bin, a count fixed by the stream (seed 0, 76)
+        ("luders_collapse", lambda f: lambda pop, partition, j: pop,
+         "no-destruction iff support inside bin: 28/100 cases"),
+    ],
+    ids=["survival_product", "luders_collapse"],
+)
+def test_ac7_fault_changes_only_its_invariant(results, monkeypatch, name, fault, line):
+    monkeypatch.setattr(validation, name, fault(getattr(validation, name)))
+    faulty = validation.check_ac7(validation._Shared(RunConfig()))
+    assert not faulty.passed
+    clean = results["AC7"].details
+    assert [d for c, d in zip(clean, faulty.details) if c != d] == [line]
+    assert len(faulty.details) == len(clean) == 9
+
+
 def test_ac8_determinism(results):
     report(results["AC8"])
 

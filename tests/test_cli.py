@@ -142,6 +142,14 @@ class TestExitCodes:
         assert code == 2
         assert "no usable points" in err
 
+    @pytest.mark.parametrize("command", ["zeno", "validate"])
+    def test_level1_product_without_decay_is_exit_2(self, capsys, command):
+        # at n_thermal >= 1 the analytic level-1 product does not decay
+        code, _, err = run_cli(capsys, command, "--n-thermal", "2", "--trunc", "80", "--traj", "2000")
+        assert code == 2
+        assert "error: FitError: " in err
+        assert "Traceback" not in err
+
     def test_other_exceptions_propagate(self, monkeypatch):
         def bug(config):
             raise RuntimeError("a bug, not a statistical failure")

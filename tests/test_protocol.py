@@ -335,6 +335,7 @@ class TestGillespieEngine:
         sched = MeasurementSchedule(0.5, 200, ProjectorPartition.fine(1))
         ens = run_ensemble(params, sched, 0, 1, 1, 0, engine="gillespie")
         assert not ens.outcomes.any()
+        assert np.array_equal(ens.outcomes[0], reference_jump_record(params, sched, 0, 1, (0, 0)))
 
     def test_zero_emission_decays_into_ground(self):
         params = BathParams(0.0, 1.1)
@@ -344,6 +345,7 @@ class TestGillespieEngine:
         # once absorbed it never leaves
         first_zero = int(np.argmax(outcomes == 0))
         assert not outcomes[first_zero:].any()
+        assert np.array_equal(outcomes, reference_jump_record(params, sched, 1, 1, (0, 4)))
 
     def test_outcomes_hold_levels_beyond_int16(self):
         sched = MeasurementSchedule(1e-4, 5, ProjectorPartition.fine(40_000))
