@@ -1,6 +1,7 @@
-"""Fine Lüders engine timings: ``protocol._fine_outcomes`` at the shapes the
-commands run it, and the two layers around it in ``qndsim survival``:
-``stats.estimate_survival`` and ``protocol._uniforms``.
+"""Engine and reduction timings: ``protocol._fine_outcomes`` at the shapes the
+commands run it, the jump engine, and the layers around them:
+``stats.estimate_survival``, ``stats.dwell_statistics`` and
+``protocol._uniforms``.
 
 Run from a checkout (any revision with ``protocol._fine_outcomes``)::
 
@@ -8,11 +9,14 @@ Run from a checkout (any revision with ``protocol._fine_outcomes``)::
         [--before OTHER.json]
 
 Each timing is the median of ``--repeats`` runs in this process, on inputs
-built before the clock starts.  The engine runs ``BLOCK_ROWS`` rows at a
-time, as ``run_ensemble`` does, at ``gamma = 1``, ``n_thermal = 0.1``,
-``gdt = 0.01`` from level 0.  ``--before`` takes this script's JSON from
-another revision (run with that revision's ``src`` on ``PYTHONPATH``) and
-adds its timings and the speed-up to each entry.
+built before the clock starts; ``peak_mb`` is the ``tracemalloc`` peak of
+one more run (numpy reports its buffers to ``tracemalloc``), in 1e6 bytes.
+The fine engine runs rows in blocks cut as ``run_ensemble`` cuts them, at
+``gamma = 1``, ``n_thermal = 0.1``, ``gdt = 0.01`` from level 0.
+``jump_engine`` is ``run_ensemble`` with the Gillespie engine: path draws
+and readout.  ``--before`` takes this script's JSON from another revision
+(run with that revision's ``src`` on ``PYTHONPATH``) and adds its numbers
+and the speed-up to each entry.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tracemalloc
 
-from streams import _ensemble_uniforms, _machine, _median_s
+from streams import _block_rows, _ensemble_uniforms, _machine, _median_s
 
 from qndsim import protocol, stats
 from qndsim.core import bath_from_gamma, build_generator, pure_level
@@ -34,15 +39,16 @@ DT = 0.01
 ENGINE_SHAPES = ((40, 25_000, 100), (1, 20_000, 100), (40, 2_000, 1_000), (1, 1, 200_000))
 # (truncation, rows, steps) of survival at 25 000 trajectories
 SURVIVAL_SHAPE = (40, 25_000, 100)
+# AC4 and dwell --engine gillespie, then AC5
+JUMP_SHAPES = ((1, 1, 4_000_000), (40, 2_000, 1_000))
+DWELL_SHAPE = (1, 1, 4_000_000)
 
 
 def _engine(trunc: int, n: int, steps: int):
     tmat = transition_matrix(build_generator(PARAMS, trunc), DT)
     pop = pure_level(0, trunc)
-    blocks = [
-        protocol._uniforms(0, start, min(protocol.BLOCK_ROWS, n - start), steps)
-        for start in range(0, n, protocol.BLOCK_ROWS)
-    ]
+    rows = _block_rows(steps)
+    blocks = [protocol._uniforms(0, start, min(rows, n - start), steps) for start in range(0, n, rows)]
 
     def run():
         for uniforms in blocks:
@@ -50,19 +56,34 @@ def _engine(trunc: int, n: int, steps: int):
     return run
 
 
-def _survival(trunc: int, n: int, steps: int):
+def _ensemble(trunc: int, n: int, steps: int, engine: str = "luders"):
     schedule = protocol.MeasurementSchedule(DT, steps, ProjectorPartition.fine(trunc))
-    ensemble = protocol.run_ensemble(PARAMS, schedule, 0, trunc, n, 0)
-    return lambda: stats.estimate_survival(ensemble, 0)
+    return lambda: protocol.run_ensemble(PARAMS, schedule, 0, trunc, n, 0, engine=engine)
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def _entries(repeats: int) -> list[dict]:
     _, n, steps = SURVIVAL_SHAPE
+    survival = _ensemble(*SURVIVAL_SHAPE)()
+    record = _ensemble(*DWELL_SHAPE, engine="gillespie")()
     cases = [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
-    cases.append(("estimate_survival", SURVIVAL_SHAPE, _survival(*SURVIVAL_SHAPE)))
+    cases += [("jump_engine", shape, _ensemble(*shape, engine="gillespie")) for shape in JUMP_SHAPES]
+    cases.append(("estimate_survival", SURVIVAL_SHAPE, lambda: stats.estimate_survival(survival, 0)))
+    cases.append(("dwell_statistics", DWELL_SHAPE, lambda: stats.dwell_statistics(record)))
     cases.append(("uniforms", SURVIVAL_SHAPE, lambda: _ensemble_uniforms(n, steps)))
     return [
-        {"layer": layer, "trunc": t, "rows": rows, "steps": s, "median_s": round(_median_s(fn, repeats), 5)}
+        {
+            "layer": layer, "trunc": t, "rows": rows, "steps": s,
+            "median_s": round(_median_s(fn, repeats), 5), "peak_mb": round(_peak_mb(fn), 2),
+        }
         for layer, (t, rows, s), fn in cases
     ]
 
@@ -80,11 +101,14 @@ def main(argv: list[str] | None = None) -> int:
     entries = _entries(args.repeats)
     if args.before:
         with open(args.before) as fp:
-            before = {_key(e): e["median_s"] for e in json.load(fp)["layers"]}
+            before = {_key(e): e for e in json.load(fp)["layers"]}
         for entry in entries:
-            if _key(entry) in before:
-                entry["before_s"] = before[_key(entry)]
+            old = before.get(_key(entry))
+            if old:
+                entry["before_s"] = old["median_s"]
                 entry["speedup"] = round(entry["before_s"] / entry["median_s"], 2)
+                if "peak_mb" in old:
+                    entry["before_peak_mb"] = old["peak_mb"]
     report = {"machine": _machine(), "repeats": args.repeats, "layers": entries}
     text = json.dumps(report, indent=2) + "\n"
     if args.out:

@@ -7,7 +7,8 @@ Run from a checkout (any revision with ``protocol._uniforms``)::
     PYTHONPATH=src python bench/streams.py [--repeats 7] [--out BENCH_streams.json]
 
 Each timing is the median of ``--repeats`` runs in this process.  Ensembles
-are drawn the way ``run_ensemble`` draws them, ``BLOCK_ROWS`` rows at a time.
+are drawn the way ``run_ensemble`` draws them, in blocks of ``BLOCK_ROWS`` rows
+(fewer for rows longer than ``VECTOR_STEPS``).
 The crossover part needs ``protocol.VECTOR_STEPS`` and is skipped without it.
 """
 
@@ -39,9 +40,17 @@ def _median_s(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
+def _block_rows(steps: int) -> int:
+    """Rows per block as ``run_ensemble`` cuts them: ``BLOCK_ROWS`` at
+    revisions without ``protocol._block_rows``."""
+    block_rows = getattr(protocol, "_block_rows", None)
+    return block_rows(steps) if block_rows else protocol.BLOCK_ROWS
+
+
 def _ensemble_uniforms(n: int, steps: int) -> None:
-    for start in range(0, n, protocol.BLOCK_ROWS):
-        protocol._uniforms(0, start, min(protocol.BLOCK_ROWS, n - start), steps)
+    rows = _block_rows(steps)
+    for start in range(0, n, rows):
+        protocol._uniforms(0, start, min(rows, n - start), steps)
 
 
 def _forced(vector_steps: int, steps: int):

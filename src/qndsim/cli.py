@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -28,6 +29,7 @@ from .protocol import (
     SEED_DERIVATION,
     ZENO_SWEEP,
     MeasurementSchedule,
+    ZenoDomainWarning,
     run_ensemble,
     survival_exponential,
     survival_product,
@@ -154,7 +156,11 @@ def cmd_dwell(config: RunConfig) -> tuple[str, str]:
 def cmd_zeno(config: RunConfig) -> tuple[str, str]:
     """Persistence-time report plus the quasicontinuity sweep CSV."""
     params = config.bath()
-    report = zeno_times(params)
+    with warnings.catch_warnings():
+        # main already prints RunConfig.validate's warning for every n_thermal
+        # at which zeno_times warns
+        warnings.simplefilter("ignore", ZenoDomainWarning)
+        report = zeno_times(params)
     fit0 = fit_decay(two_level_curve(params, config.dt, config.steps, 0, config.traj, config.seed))
     fit1 = fit_decay(two_level_curve(params, config.dt, config.steps, 1, config.traj, config.seed))
     fit1_analytic = fit_level1_product(params, config.dt, config.steps)

@@ -32,8 +32,10 @@ from .measurement import ProjectorPartition, ZeroProbabilityError
 # Documented stream-derivation mixer; echoed in CLI output metadata.
 SEED_DERIVATION = "numpy SeedSequence((master_seed, trajectory_index)) -> PCG64"
 
-# Trajectories sampled together: bounds the (rows, steps) uniforms and every
-# working array of the Lüders engine, whatever the ensemble size.
+# Trajectories sampled together, for rows of at most VECTOR_STEPS steps;
+# longer rows come in proportionally fewer (:func:`_block_rows`).  So no block
+# holds more than BLOCK_ROWS * VECTOR_STEPS uniforms (one row excepted), which
+# bounds every working array of the Lüders engine whatever the ensemble size.
 BLOCK_ROWS = 4096
 
 # Largest (rows, window) look-ahead of the fine Lüders engine, in elements.
@@ -340,20 +342,14 @@ def _outcome_dtype(n_bins: int) -> type:
     return np.int16 if n_bins <= np.iinfo(np.int16).max + 1 else np.int32
 
 
-def _jump_outcomes(
-    params: BathParams,
-    schedule: MeasurementSchedule,
-    initial_level: int,
-    truncation: int,
-    rng: np.random.Generator,
-    out: np.ndarray,
-) -> None:
-    """Write the occupied level at each sampling time of one jump-process
-    path into ``out``.  Per jump the stream gives one exponential holding
-    time, then (unless the jump falls past the horizon) one uniform for its
-    direction; at ``B_e = 0`` level 0 is absorbing."""
+def _jump_path(
+    params: BathParams, horizon: float, initial_level: int, truncation: int, rng: np.random.Generator
+) -> tuple[list[float], list[int]]:
+    """One jump-process path up to ``horizon``: its jump times and its levels
+    (the initial one, then one per jump).  Per jump the stream gives one
+    exponential holding time, then (unless the jump falls past the horizon)
+    one uniform for its direction; at ``B_e = 0`` level 0 is absorbing."""
     be, ba = params.emission_rate, params.absorption_rate
-    horizon = schedule.horizon
     t = 0.0
     level = initial_level
     jump_times: list[float] = []
@@ -370,23 +366,32 @@ def _jump_outcomes(
         level += 1 if rng.random() < up / total else -1
         jump_times.append(t)
         levels.append(level)
-    _read_out(jump_times, levels, schedule.dt, out)
+    return jump_times, levels
 
 
-def _read_out(jump_times: list[float], levels: list[int], dt: float, out: np.ndarray) -> None:
-    """Write the path (``levels[j]`` from ``jump_times[j-1]`` on) sampled at
-    ``dt * (i + 1)`` into ``out``: a jump's first sample number, the least k
-    with ``dt * k >= t``, is ``ceil(t / dt)`` corrected once each way with
-    that same float product (enough while ``t / dt < 2**51``)."""
-    start = 0
-    for t, level in zip(jump_times, levels):
-        k = math.ceil(t / dt)
-        k += dt * k < t
-        k -= dt * (k - 1) >= t
-        stop = max(k - 1, 0)
-        out[start:stop] = level
-        start = stop
-    out[start:] = levels[-1]
+def _read_out(jump_times, levels: np.ndarray, path_levels, dt: float, steps: int) -> np.ndarray:
+    """Paths sampled at ``dt * (i + 1)``, ``i < steps``, as one row each.
+
+    Path r is the next ``path_levels[r]`` entries of ``levels`` (its initial
+    level, then its level after each jump), and ``jump_times`` holds the
+    jumps of all paths in the same order, one fewer per path.  A jump's
+    first sample number, the least k with ``dt * k >= t``, is
+    ``ceil(t / dt)`` corrected once each way with that same float product
+    (enough while ``t / dt < 2**51``); a jump past the last sample changes
+    none.  The runs between jumps then fill all rows in one ``np.repeat``.
+    """
+    path_levels = np.asarray(path_levels, dtype=np.intp)
+    times = np.asarray(jump_times, dtype=float)
+    k = np.ceil(times / dt)
+    k += dt * k < times
+    k -= dt * (k - 1) >= times
+    first = np.cumsum(path_levels) - path_levels  # each path's initial level
+    jump = np.ones(levels.size, dtype=bool)
+    jump[first] = False
+    starts = np.repeat(np.arange(path_levels.size) * steps, path_levels)
+    starts[jump] += np.clip(k - 1, 0, steps).astype(np.intp)
+    lengths = np.diff(np.append(starts, path_levels.size * steps))
+    return np.repeat(levels, lengths).reshape(path_levels.size, steps)
 
 
 # Sampling intervals gamma*dt of the quasicontinuity sweep (zeno, AC6).
@@ -556,6 +561,13 @@ def _coarse_outcomes(
     return outcomes
 
 
+def _block_rows(steps: int) -> int:
+    """Rows per Lüders block: :data:`BLOCK_ROWS`, and for rows longer than
+    :data:`VECTOR_STEPS` as many as hold ``BLOCK_ROWS * VECTOR_STEPS``
+    uniforms (at least one)."""
+    return min(BLOCK_ROWS, max(1, BLOCK_ROWS * VECTOR_STEPS // steps))
+
+
 def run_ensemble(
     params: BathParams,
     schedule: MeasurementSchedule,
@@ -572,7 +584,11 @@ def run_ensemble(
     trajectory draws from its own stream and no trajectory's arithmetic
     depends on another's, so the ensemble split at any ``first_index`` and
     concatenated is bit-identical to the unsplit run.  The Lüders engine
-    runs :data:`BLOCK_ROWS` trajectories at a time.
+    runs blocks of :func:`_block_rows` trajectories: at most
+    :data:`BLOCK_ROWS`, and no more than ``BLOCK_ROWS * VECTOR_STEPS``
+    readouts per block unless one row is longer, so its working memory is
+    bounded by the block, not by the ensemble.  The jump engine reads out
+    all its paths in one pass.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
@@ -583,21 +599,33 @@ def run_ensemble(
         raise ValueError("partition truncation mismatch")
     pop = _as_population(initial, truncation)
     level = _initial_level(pop)
-    outcomes = np.empty((n_traj, schedule.steps), dtype=_outcome_dtype(partition.n_bins))
+    dtype = _outcome_dtype(partition.n_bins)
     if engine == "gillespie":
         if not partition.is_fine:
             raise ValueError("the jump engine requires a fine partition")
         if level is None:
             raise ValueError("the jump engine needs a definite initial level")
-        for row, rng in zip(outcomes, _streams(master_seed, first_index, n_traj)):
-            _jump_outcomes(params, schedule, level, truncation, rng, row)
+        jump_times: list[float] = []
+        levels: list[int] = []
+        path_levels: list[int] = []
+        for rng in _streams(master_seed, first_index, n_traj):
+            times, path = _jump_path(params, schedule.horizon, level, truncation, rng)
+            jump_times += times
+            levels += path
+            path_levels.append(len(path))
+        outcomes = _read_out(
+            jump_times, np.array(levels, dtype=dtype), path_levels, schedule.dt, schedule.steps
+        )
     else:
+        outcomes = np.empty((n_traj, schedule.steps), dtype=dtype)
         tmat = transition_matrix(build_generator(params, truncation), schedule.dt)
-        for start in range(0, n_traj, BLOCK_ROWS):
-            block = outcomes[start:start + BLOCK_ROWS]
+        block_rows = _block_rows(schedule.steps)
+        for start in range(0, n_traj, block_rows):
+            block = outcomes[start:start + block_rows]
             uniforms = _uniforms(master_seed, first_index + start, len(block), schedule.steps)
             if partition.is_fine:
                 block[:] = _fine_outcomes(tmat, pop, uniforms)
             else:
                 block[:] = _coarse_outcomes(tmat, pop, partition, uniforms)
+            del uniforms  # else it lives on while the next block is drawn
     return Ensemble(schedule, level, outcomes, master_seed, first_index, engine)

@@ -192,25 +192,32 @@ class DwellStats:
 
 def dwell_statistics(ensemble: Ensemble) -> DwellStats:
     """Dwell-time statistics of an ensemble (fine partitions only), pooled
-    over its trajectories in one pass."""
+    over its trajectories in one pass.
+
+    Beyond one bool mask of the record (where each step differs from the
+    one before), every array it allocates has one entry per run or per bin:
+    ``counts`` is the run values weighted by the run lengths, not a count
+    over the record.
+    """
     partition = ensemble.schedule.partition
     if not partition.is_fine:
         raise ValueError("dwell statistics require a fine partition")
     outcomes = ensemble.outcomes
-    width = outcomes.shape[1]
-    run_start = np.ones(outcomes.shape, dtype=bool)
-    run_start[:, 1:] = outcomes[:, 1:] != outcomes[:, :-1]
-    flat = outcomes.ravel()
-    starts = np.flatnonzero(run_start)
-    lengths = np.diff(np.append(starts, flat.size))
-    values = flat[starts]
-    interior_mask = (starts % width != 0) & ((starts + lengths) % width != 0)
-    counts = np.bincount(flat, minlength=partition.n_bins)
+    n_rows, width = outcomes.shape
+    # flat index r * (width - 1) + c of the mask is step c + 1 of row r
+    changes = np.flatnonzero(outcomes[:, 1:] != outcomes[:, :-1])
+    changes += changes // max(width - 1, 1) + 1
+    starts = np.sort(np.concatenate((np.arange(n_rows) * width, changes)))
+    lengths = np.diff(np.append(starts, outcomes.size))
+    row, col = np.divmod(starts, width)
+    values = outcomes[row, col]
+    interior_mask = (col != 0) & (col + lengths != width)
+    counts = np.bincount(values, weights=lengths, minlength=partition.n_bins).astype(np.int64)
     dwell = tuple(lengths[values == n] for n in range(partition.n_bins))
     interior = tuple(
         lengths[interior_mask & (values == n)] for n in range(partition.n_bins)
     )
-    return DwellStats(flat.size, ensemble.schedule.dt, counts, dwell, interior)
+    return DwellStats(outcomes.size, ensemble.schedule.dt, counts, dwell, interior)
 
 
 def time_average(ensemble: Ensemble, n: int) -> float:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from qndsim.cli import cmd_dwell, cmd_relax, cmd_survival, cmd_thermal, cmd_zeno
 from qndsim.config import ConfigError, RunConfig, load_config
 from qndsim.measurement import ZeroProbabilityError
 from qndsim.stats import FitError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def csv_body(text):
@@ -149,6 +155,20 @@ class TestExitCodes:
         assert code == 2
         assert "error: FitError: " in err
         assert "Traceback" not in err
+
+    def test_zeno_reports_n_thermal_above_one_once(self):
+        # a child process, so stderr is what a user sees: Python's own
+        # warning display is not intercepted there as it is under pytest
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        argv = ["zeno", "--n-thermal", "2", "--trunc", "80", "--traj", "2000"]
+        child = subprocess.run(
+            [sys.executable, "-m", "qndsim.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == 2
+        lines = child.stderr.splitlines()
+        assert lines[0] == "warning: n_thermal = 2 >= 1: persistence-time ordering degenerates"
+        assert len(lines) == 2 and lines[1].startswith("error: FitError: ")
+        assert "ZenoDomainWarning" not in child.stderr and "cli.py" not in child.stderr
 
     def test_other_exceptions_propagate(self, monkeypatch):
         def bug(config):

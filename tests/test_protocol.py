@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,9 +401,9 @@ def searchsorted_readout(jump_times, levels, dt, steps):
 
 
 def read_out(jump_times, levels, dt, steps):
-    out = np.full(steps, -1, dtype=levels.dtype)  # a sample left unwritten shows as -1
-    protocol._read_out(jump_times.tolist(), levels.tolist(), dt, out)
-    return out
+    out = protocol._read_out(jump_times.tolist(), levels, [levels.size], dt, steps)
+    assert out.shape == (1, steps)
+    return out[0]
 
 
 class TestReadOut:
@@ -570,20 +571,45 @@ class TestEnsemble:
             assert np.array_equal(row, reference_loop(params, sched, start, trunc, (42, i)))
 
     @pytest.mark.parametrize(
-        "partition,engine",
+        "partition,engine,steps",
         [
-            (ProjectorPartition.fine(4), "gillespie"),
-            (ProjectorPartition.fine(4), "luders"),
-            (coarse_partition(4), "luders"),
+            (ProjectorPartition.fine(4), "gillespie", 30),
+            (ProjectorPartition.fine(4), "luders", 30),
+            (coarse_partition(4), "luders", 30),
+            # past VECTOR_STEPS: per-row Generator draws, fewer rows per block
+            (ProjectorPartition.fine(4), "luders", protocol.VECTOR_STEPS + 1),
+            (ProjectorPartition.fine(4), "luders", 500),
+            (coarse_partition(4), "luders", 250),
         ],
-        ids=["gillespie", "fine", "coarse"],
+        ids=["gillespie", "fine", "coarse", "fine-long", "fine-one-row-blocks", "coarse-long"],
     )
-    def test_row_blocks_do_not_change_outcomes(self, monkeypatch, partition, engine):
-        sched = MeasurementSchedule(0.2, 30, partition)
+    def test_row_blocks_do_not_change_outcomes(self, monkeypatch, partition, engine, steps):
+        sched = MeasurementSchedule(0.2, steps, partition)
         whole = run_ensemble(PARAMS, sched, 1, 4, 23, 5, engine=engine)
         monkeypatch.setattr(protocol, "BLOCK_ROWS", 5)
         blocked = run_ensemble(PARAMS, sched, 1, 4, 23, 5, engine=engine)
         assert np.array_equal(whole.outcomes, blocked.outcomes)
+
+    def test_long_rows_come_in_fewer_per_block(self, monkeypatch):
+        assert protocol._block_rows(1) == protocol._block_rows(protocol.VECTOR_STEPS) == 4096
+        assert protocol._block_rows(1000) == 786
+        assert protocol._block_rows(10**7) == 1
+        monkeypatch.setattr(protocol, "BLOCK_ROWS", 5)
+        assert [protocol._block_rows(s) for s in (30, protocol.VECTOR_STEPS + 1, 250, 500)] == [5, 4, 3, 1]
+
+    def test_long_rows_run_in_bounded_memory(self):
+        # numpy reports its buffers to tracemalloc.  The 4 MB of outcomes, one
+        # block of at most 4096 * 192 uniforms (6.3 MB) and the engine's
+        # working arrays (under 2 MB) fit; two blocks at once, or all 2000
+        # rows of 1000 steps in one (16 MB of uniforms), do not.
+        sched = MeasurementSchedule(0.01, 1000, ProjectorPartition.fine(40))
+        tracemalloc.start()
+        try:
+            run_ensemble(PARAMS, sched, 0, 40, 2000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
 
     def test_same_master_seed_is_bit_identical(self):
         sched = MeasurementSchedule(0.05, 50, ProjectorPartition.fine(1))
