@@ -38,10 +38,6 @@ SEED_DERIVATION = "numpy SeedSequence((master_seed, trajectory_index)) -> PCG64"
 # bounds every working array of the Lüders engine whatever the ensemble size.
 BLOCK_ROWS = 4096
 
-# Largest (rows, window) look-ahead of the fine Lüders engine, in elements.
-_WINDOW_ELEMENTS = 1 << 16
-_MIN_WINDOW = 8
-
 
 class ZenoDomainWarning(UserWarning):
     """Persistence-time ordering degenerates (n_thermal outside (0, 1))."""
@@ -121,6 +117,14 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # but saves the Generator's fixed cost per row.  bench/streams.py measures
 # the crossover (200-250 steps at 4096 rows on a 2-vCPU Xeon VM).
 VECTOR_STEPS = 192
+# The fine Lüders engine scans a block in windows of VECTOR_STEPS columns, so
+# that a block of rows that short is one window, widened to _WINDOW_ELEMENTS
+# uniforms for a block of fewer than 22 rows: a window costs a few numpy calls
+# and each leave compares its row's window again.  Timed over bench/engine.py's
+# shapes on a 2-vCPU Xeon VM, 96 columns were 10-15 % slower on 100-step
+# blocks, and one long row took 20-30 % longer in windows of 1024 than of
+# 4096, while 2048 and 8192 were within the noise of 4096.
+_WINDOW_ELEMENTS = 4096
 # The numpy draw fills (rows, width) tiles of about _TILE_ELEMENTS, with the
 # fewest tiles of at most _TILE_WIDTH steps per row, all of one width.
 _TILE_WIDTH = 16
@@ -450,13 +454,14 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     right-sided bisection of the step's uniform into column k's cumulative
     masses: it is k again exactly when ``cum_k[k-1] <= u < cum_k[k]`` (no
     upper bound at the top level, where a uniform above the column's mass
-    clamps).  So all of a row's later uniforms are first tested in one
-    contiguous comparison against its first level's interval: a row that
-    never leaves (most rows, when readouts are frequent) is done there.  A
-    row that leaves is bisected at its first leave and scanned on from the
-    next step in windows of gathered uniforms; only at a leave is a
-    cumulative row gathered and bisected.  The runs found are expanded into
-    outcomes at the end.
+    clamps).  So after the first readout the block is scanned in aligned
+    windows of columns: every row's uniforms in a window are compared with
+    its level's interval, a row that leaves is bisected at its first leave,
+    and only those rows are compared again, with their new level, past that
+    column, until no row leaves; the levels carry into the next window.  A
+    row that never leaves (most rows, when readouts are frequent) costs one
+    interval test per readout.  The runs found are expanded into outcomes
+    at the end.
     """
     n_rows, steps = uniforms.shape
     n_levels = tmat.shape[0]
@@ -466,8 +471,6 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     lower = np.concatenate(([0.0], cum[diagonal[1:], diagonal[:-1]]))
     upper = cum[diagonal, diagonal]
     upper[-1] = np.inf
-    with np.errstate(divide="ignore"):
-        mean_run = 1.0 / (1.0 - np.diag(tmat))  # expected readouts per visit
 
     def bisect(cum_rows, u, top_mass):
         count = (cum_rows <= u[:, None]).sum(axis=1)
@@ -483,45 +486,24 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     )
     # every run of a level, as its flat start (row * steps + step) and level
     run_starts, run_levels = [np.arange(n_rows) * steps], [level.copy()]
-
-    def change(rows, at):
-        # rows leave their level at steps `at`: bisect there, start new runs
-        was = level[rows]
-        new = bisect(cum[was], uniforms[rows, at], tmat[-1, was])
-        run_starts.append(rows * steps + at)
-        run_levels.append(new)
-        level[rows] = new
-
-    flat = uniforms.ravel()
-    pos = np.full(n_rows, steps, dtype=np.intp)  # each row's first undecided step
-    if steps > 1:
-        # one contiguous pass finds each row's first leave of its first level
-        rest = uniforms[:, 1:]
-        leave = rest < lower[level, None]
-        leave |= rest >= upper[level, None]  # in place: one fewer (rows, steps) mask
-        first = leave.argmax(axis=1)
-        rows = np.flatnonzero(leave[np.arange(n_rows), first])
-        at = first[rows] + 1
-        change(rows, at)
-        pos[rows] = at + 1
-    active = np.flatnonzero(pos < steps)
-    while active.size:
-        k, p = level[active], pos[active]
-        # look ahead about one expected visit of the shortest-lived level
-        window = int(min(
-            max(mean_run[k].min(), _MIN_WINDOW),
-            max(_WINDOW_ELEMENTS // active.size, _MIN_WINDOW),
-            steps - p.min(),
-        ))
-        ahead = np.arange(window)
-        u = np.take(flat, (active * steps + p)[:, None] + ahead, mode="clip")
-        leave = (u < lower[k, None]) | (u >= upper[k, None])
-        leave &= ahead < (steps - p)[:, None]  # reads past the row's last step
-        left = leave.any(axis=1)
-        step = p + np.where(left, leave.argmax(axis=1), window)
-        change(active[left], step[left])
-        pos[active] = step + left
-        active = active[pos[active] < steps]
+    width = min(steps, max(VECTOR_STEPS, _WINDOW_ELEMENTS // n_rows))
+    for start in range(1, steps, width):
+        window = uniforms[:, start:start + width]
+        columns = np.arange(window.shape[1])
+        rows, u, after = np.arange(n_rows), window, -1
+        while rows.size:
+            k = level[rows]
+            leave = u < lower[k, None]
+            leave |= u >= upper[k, None]  # in place: one fewer window-sized mask
+            leave &= columns > after  # only past the row's last leave in this window
+            at = leave.argmax(axis=1)
+            left = leave[np.arange(rows.size), at]
+            rows, at = rows[left], at[left]
+            was = level[rows]
+            level[rows] = bisect(cum[was], window[rows, at], tmat[-1, was])
+            run_starts.append(rows * steps + start + at)
+            run_levels.append(level[rows])
+            u, after = window[rows], at[:, None]
     starts = np.concatenate(run_starts)
     order = np.argsort(starts)
     lengths = np.diff(np.append(starts[order], n_rows * steps))

@@ -28,6 +28,7 @@ from .dynamics import mean_relaxation, propagate
 from .measurement import ProjectorPartition, luders_collapse, outcome_probabilities
 from .protocol import ZENO_SWEEP, MeasurementSchedule, run_ensemble, survival_exponential, survival_product
 from .stats import (
+    FitError,
     SurvivalCurve,
     dwell_statistics,
     fit_decay,
@@ -120,38 +121,42 @@ def check_ac2(shared: _Shared) -> CriterionResult:
 
 def check_ac3(shared: _Shared) -> CriterionResult:
     """Fitted persistence rates: measurement slows relaxation as predicted,
-    and the analytic level-1 rate differs from the exact-chain one."""
+    and the analytic level-1 rate differs from the exact-chain one.  A fit
+    that fails (the analytic one at n_thermal >= 1) fails the criterion."""
     config, params = shared.config, shared.params
     gamma, nth = config.gamma, config.n_thermal
     details, ok = [], True
+    try:
+        fit0 = fit_decay(shared.curve_from_0)
+        target0 = nth * gamma
+        ok &= abs(fit0.rate - target0) <= 0.05 * target0
+        tau_ratio = gamma / fit0.rate
+        details.append(
+            f"level 0: fitted rate = {fit0.rate:.5f} +/- {fit0.stderr:.1e}, "
+            f"target n_thermal*gamma = {target0:g} (5% band); tau_0/tau = {tau_ratio:.3f}"
+        )
 
-    fit0 = fit_decay(shared.curve_from_0)
-    target0 = nth * gamma
-    ok &= abs(fit0.rate - target0) <= 0.05 * target0
-    tau_ratio = gamma / fit0.rate
-    details.append(
-        f"level 0: fitted rate = {fit0.rate:.5f} +/- {fit0.stderr:.1e}, "
-        f"target n_thermal*gamma = {target0:g} (5% band); tau_0/tau = {tau_ratio:.3f}"
-    )
+        fit1 = fit_decay(shared.curve_from_1)
+        target1_chain = (1.0 + nth) * gamma
+        ok &= abs(fit1.rate - target1_chain) <= 0.05 * target1_chain
+        details.append(
+            f"level 1 Monte Carlo: fitted rate = {fit1.rate:.5f} +/- {fit1.stderr:.1e}, "
+            f"exact-chain target (1+n_thermal)*gamma = {target1_chain:g} (5% band)"
+        )
 
-    fit1 = fit_decay(shared.curve_from_1)
-    target1_chain = (1.0 + nth) * gamma
-    ok &= abs(fit1.rate - target1_chain) <= 0.05 * target1_chain
-    details.append(
-        f"level 1 Monte Carlo: fitted rate = {fit1.rate:.5f} +/- {fit1.stderr:.1e}, "
-        f"exact-chain target (1+n_thermal)*gamma = {target1_chain:g} (5% band)"
-    )
-
-    fit1_analytic = fit_level1_product(params, config.dt, config.steps)
-    target1_analytic = (1.0 - nth) * gamma
-    ok &= abs(fit1_analytic.rate - target1_analytic) <= 0.01 * target1_analytic
-    details.append(
-        f"level 1 analytic product curve: fitted rate = {fit1_analytic.rate:.5f}, "
-        f"target (1-n_thermal)*gamma = {target1_analytic:g} (1% band)"
-    )
-    details.append(
-        f"chain-vs-analytic level-1 rate gap = {abs(fit1.rate - fit1_analytic.rate):.4f}"
-    )
+        fit1_analytic = fit_level1_product(params, config.dt, config.steps)
+        target1_analytic = (1.0 - nth) * gamma
+        ok &= abs(fit1_analytic.rate - target1_analytic) <= 0.01 * target1_analytic
+        details.append(
+            f"level 1 analytic product curve: fitted rate = {fit1_analytic.rate:.5f}, "
+            f"target (1-n_thermal)*gamma = {target1_analytic:g} (1% band)"
+        )
+        details.append(
+            f"chain-vs-analytic level-1 rate gap = {abs(fit1.rate - fit1_analytic.rate):.4f}"
+        )
+    except FitError as exc:
+        ok = False
+        details.append(f"{type(exc).__name__}: {exc}")
     return CriterionResult("AC3 partial-Zeno slowdown rates", ok, tuple(details))
 
 
@@ -373,6 +378,14 @@ def _shards_concatenate(params, schedule, truncation, n, seed, engine) -> bool:
     return np.array_equal(whole.outcomes, np.concatenate((low.outcomes, high.outcomes)))
 
 
+def _output(command, config: RunConfig):
+    """A command's output, or its failed fit as ``type: message``."""
+    try:
+        return command(config)
+    except FitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def check_ac8(shared: _Shared, earlier: list[CriterionResult]) -> CriterionResult:
     """Byte-identical reruns and independence of ``first_index`` sharding."""
     from . import cli  # deferred: cli imports this module for the validate command
@@ -391,7 +404,7 @@ def check_ac8(shared: _Shared, earlier: list[CriterionResult]) -> CriterionResul
         ("dwell", cli.cmd_dwell),
         ("zeno", cli.cmd_zeno),
     ):
-        same = command(config) == command(config)
+        same = _output(command, config) == _output(command, config)
         ok &= same
         details.append(f"{name} output byte-identical across reruns: {same}")
 

@@ -150,11 +150,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["zeno", "validate"])
     def test_level1_product_without_decay_is_exit_2(self, capsys, command):
-        # at n_thermal >= 1 the analytic level-1 product does not decay
-        code, _, err = run_cli(capsys, command, "--n-thermal", "2", "--trunc", "80", "--traj", "2000")
+        # at n_thermal >= 1 the analytic level-1 product does not decay: zeno
+        # stops at the failed fit, validate fails AC3 with it and reports
+        # every criterion
+        code, out, err = run_cli(capsys, command, "--n-thermal", "2", "--trunc", "80", "--traj", "2000")
         assert code == 2
-        assert "error: FitError: " in err
         assert "Traceback" not in err
+        if command == "zeno":
+            assert "error: FitError: " in err
+            return
+        assert "error" not in err
+        lines = out.splitlines()
+        verdicts = [line for line in lines if line.startswith("AC")]
+        assert [v.split()[0] for v in verdicts] == [f"AC{i}" for i in range(1, 9)]
+        ac3 = lines.index("AC3 partial-Zeno slowdown rates: FAIL")
+        assert any(line.startswith("    FitError: ") for line in lines[ac3:lines.index(verdicts[3])])
+        assert "zeno output byte-identical across reruns: True" in out
 
     def test_zeno_reports_n_thermal_above_one_once(self):
         # a child process, so stderr is what a user sees: Python's own

@@ -208,6 +208,23 @@ class TestLudersEngine:
         assert outcomes.dtype == np.int16 and outcomes.shape == (200, 100)
         assert hashlib.sha256(outcomes.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "trunc,n_traj,steps,digest",
+        [
+            (40, 4096, 100, "4ce6ff2aa6c2ae348f1867294eccc4a6de731fd2b98032da71846ddb66689263"),
+            (40, 2000, 1000, "21f72786ca90b0dcd7a21221d9796cdb59efdba683d09d2c263e6cc2e538569f"),
+            (1, 1, 200_000, "1dd15ac97656725a650582ac582e0af092d81cfed0712f5476dc71388e7493a4"),
+        ],
+        ids=["survival-block", "ac5-blocks", "dwell-row"],
+    )
+    def test_fine_outcomes_are_pinned(self, trunc, n_traj, steps, digest):
+        # seed 0 from level 0 at gamma*dt = 0.01: a 100-step block that is one
+        # window, 786-row blocks of several, one row of many
+        sched = MeasurementSchedule(0.01, steps, ProjectorPartition.fine(trunc))
+        outcomes = run_ensemble(PARAMS, sched, 0, trunc, n_traj, 0).outcomes
+        assert outcomes.dtype == np.int16 and outcomes.shape == (n_traj, steps)
+        assert hashlib.sha256(outcomes.tobytes()).hexdigest() == digest
+
     def test_coarse_shards_across_a_row_block_concatenate(self):
         # one row, then the rest of the first row block, then rows of the second
         params = bath_from_gamma(1.0, 2.0)
@@ -269,8 +286,11 @@ HIGH_JUMP = bath_from_gamma(1.0, 50.0)
 
 
 class TestFineEngineEdges:
-    """The fine Lüders engine against :func:`reference_loop` where its first
-    contiguous pass over every row hands over to its windowed scan."""
+    """The fine Lüders engine against :func:`reference_loop` at the edges of
+    its scan: the first readout, leaves at the first and last column of a
+    window, several leaves in one window, rows that never leave and rows at
+    the top level.  At the default widths a row of these cases is one window
+    (columns 1 .. steps - 1)."""
 
     @staticmethod
     def matches_reference(params, sched, initial, n_traj):
@@ -297,11 +317,34 @@ class TestFineEngineEdges:
         outcomes = self.matches_reference(PARAMS, sched, 0, 40)
         assert not outcomes.any()
 
+    def test_several_leaves_in_one_window(self):
+        # a row that changes level at every readout leaves at every column of
+        # every window, each leave found by a new pass over the window
+        sched = MeasurementSchedule(5.0, 12, ProjectorPartition.fine(40))
+        outcomes = self.matches_reference(HIGH_JUMP, sched, 7, 12)
+        assert np.all(np.diff(outcomes, axis=1) != 0, axis=1).any()
+
+    def test_leave_on_the_first_and_last_column(self):
+        # step 1 is the first column of the first window and the last step
+        # the last column of the last: find a row that leaves at step 1, and
+        # run it up to its next change, which then falls on the last step
+        sched = MeasurementSchedule(0.3, 40, ProjectorPartition.fine(3))
+        for i in range(40):
+            row = reference_loop(PARAMS, sched, pure_level(1, 3), 3, (42, i))
+            changes = np.flatnonzero(np.diff(row)) + 1
+            if changes.size >= 2 and changes[0] == 1:
+                break
+        else:
+            pytest.fail("no row leaves at step 1 and again later")
+        short = MeasurementSchedule(0.3, int(changes[1]) + 1, sched.partition)
+        outcomes = run_ensemble(PARAMS, short, 1, 3, 1, 42, first_index=i).outcomes
+        assert np.array_equal(outcomes[0], row[: short.steps])
+        assert outcomes[0, 1] != outcomes[0, 0] and outcomes[0, -1] != outcomes[0, -2]
+
     def test_leave_on_the_last_step(self):
         # a stream's first uniforms do not depend on the row length, so a row
         # whose level changes at step s leaves on its last step when run for
-        # s + 1 steps: the first change is found by the contiguous pass, the
-        # second by the windowed scan
+        # s + 1 steps
         sched = MeasurementSchedule(0.3, 40, ProjectorPartition.fine(3))
         row = reference_loop(PARAMS, sched, pure_level(0, 3), 3, (42, 0))
         changes = np.flatnonzero(np.diff(row)) + 1
@@ -323,6 +366,20 @@ class TestFineEngineEdges:
         sched = MeasurementSchedule(0.1, 30, ProjectorPartition.fine(5))
         outcomes = self.matches_reference(params, sched, thermal_populations(params, 5), 40)
         assert np.unique(outcomes[:, 0]).size >= 3
+
+
+@pytest.mark.parametrize("width", [1, 3])
+class TestFineEngineEdgesInNarrowWindows(TestFineEngineEdges):
+    """The same cases in windows of ``width`` columns, so that every row of
+    more than ``width + 1`` steps crosses windows and carries its level from
+    one into the next.  Patching VECTOR_STEPS also moves longer rows to the
+    per-row Generator draw and into smaller blocks, neither of which may
+    change an outcome."""
+
+    @pytest.fixture(autouse=True)
+    def narrow_windows(self, monkeypatch, width):
+        monkeypatch.setattr(protocol, "VECTOR_STEPS", width)
+        monkeypatch.setattr(protocol, "_WINDOW_ELEMENTS", width)
 
 
 class TestGillespieEngine:
