@@ -12,7 +12,11 @@ Each timing is the median of ``--repeats`` runs in this process, on inputs
 built before the clock starts; ``peak_mb`` is the ``tracemalloc`` peak of
 one more run (numpy reports its buffers to ``tracemalloc``), in 1e6 bytes.
 The fine engine runs rows in blocks cut as ``run_ensemble`` cuts them, at
-``gamma = 1``, ``n_thermal = 0.1``, ``gdt = 0.01`` from level 0.
+``gamma = 1`` from level 0: at the commands' defaults (``n_thermal = 0.1``,
+``gdt = 0.01``, where about 9 in 10 rows never leave their first level) and at
+settings where readouts often leave (0.42 to 0.45 leaves per readout at
+``n_thermal = 2``, ``gdt = 0.1``; 0.11 at ``gdt = 1``); every other layer
+runs at the defaults.
 ``jump_engine`` is ``run_ensemble`` with the Gillespie engine: path draws
 and readout.  ``--before`` takes this script's JSON from another revision
 (run with that revision's ``src`` on ``PYTHONPATH``) and adds its numbers
@@ -33,10 +37,17 @@ from qndsim.core import bath_from_gamma, build_generator, pure_level
 from qndsim.dynamics import transition_matrix
 from qndsim.measurement import ProjectorPartition
 
-PARAMS = bath_from_gamma(1.0, 0.1)
+N_THERMAL = 0.1
+PARAMS = bath_from_gamma(1.0, N_THERMAL)
 DT = 0.01
-# (truncation, rows, steps): survival, survival --trunc 1, AC5, dwell --trunc 1
-ENGINE_SHAPES = ((40, 25_000, 100), (1, 20_000, 100), (40, 2_000, 1_000), (1, 1, 200_000))
+# (truncation, rows, steps, n_thermal, gdt): survival, survival --trunc 1, AC5,
+# dwell --trunc 1; then with frequent leaves: survival --n-thermal 2 --gdt 0.1
+# --horizon 10 in one block, AC5's blocks at those settings, dwell --trunc 1 --gdt 1
+ENGINE_SHAPES = (
+    (40, 25_000, 100, N_THERMAL, DT), (1, 20_000, 100, N_THERMAL, DT),
+    (40, 2_000, 1_000, N_THERMAL, DT), (1, 1, 200_000, N_THERMAL, DT),
+    (40, 4_096, 100, 2.0, 0.1), (40, 2_000, 1_000, 2.0, 0.1), (1, 1, 200_000, N_THERMAL, 1.0),
+)
 # (truncation, rows, steps) of survival at 25 000 trajectories
 SURVIVAL_SHAPE = (40, 25_000, 100)
 # AC4 and dwell --engine gillespie, then AC5
@@ -44,8 +55,8 @@ JUMP_SHAPES = ((1, 1, 4_000_000), (40, 2_000, 1_000))
 DWELL_SHAPE = (1, 1, 4_000_000)
 
 
-def _engine(trunc: int, n: int, steps: int):
-    tmat = transition_matrix(build_generator(PARAMS, trunc), DT)
+def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float):
+    tmat = transition_matrix(build_generator(bath_from_gamma(1.0, n_thermal), trunc), gdt)
     pop = pure_level(0, trunc)
     rows = _block_rows(steps)
     blocks = [protocol._uniforms(0, start, min(rows, n - start), steps) for start in range(0, n, rows)]
@@ -74,22 +85,27 @@ def _entries(repeats: int) -> list[dict]:
     _, n, steps = SURVIVAL_SHAPE
     survival = _ensemble(*SURVIVAL_SHAPE)()
     record = _ensemble(*DWELL_SHAPE, engine="gillespie")()
+    defaults = (N_THERMAL, DT)
     cases = [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
-    cases += [("jump_engine", shape, _ensemble(*shape, engine="gillespie")) for shape in JUMP_SHAPES]
-    cases.append(("estimate_survival", SURVIVAL_SHAPE, lambda: stats.estimate_survival(survival, 0)))
-    cases.append(("dwell_statistics", DWELL_SHAPE, lambda: stats.dwell_statistics(record)))
-    cases.append(("uniforms", SURVIVAL_SHAPE, lambda: _ensemble_uniforms(n, steps)))
+    cases += [
+        ("jump_engine", shape + defaults, _ensemble(*shape, engine="gillespie")) for shape in JUMP_SHAPES
+    ]
+    cases.append(("estimate_survival", SURVIVAL_SHAPE + defaults, lambda: stats.estimate_survival(survival, 0)))
+    cases.append(("dwell_statistics", DWELL_SHAPE + defaults, lambda: stats.dwell_statistics(record)))
+    cases.append(("uniforms", SURVIVAL_SHAPE + defaults, lambda: _ensemble_uniforms(n, steps)))
     return [
         {
-            "layer": layer, "trunc": t, "rows": rows, "steps": s,
+            "layer": layer, "trunc": t, "rows": rows, "steps": s, "n_thermal": nth, "gdt": gdt,
             "median_s": round(_median_s(fn, repeats), 5), "peak_mb": round(_peak_mb(fn), 2),
         }
-        for layer, (t, rows, s), fn in cases
+        for layer, (t, rows, s, nth, gdt), fn in cases
     ]
 
 
 def _key(entry: dict) -> tuple:
-    return entry["layer"], entry["trunc"], entry["rows"], entry["steps"]
+    # JSON written before the settings were recorded ran every layer at the defaults
+    settings = entry.get("n_thermal", N_THERMAL), entry.get("gdt", DT)
+    return (entry["layer"], entry["trunc"], entry["rows"], entry["steps"]) + settings
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -117,14 +117,9 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # but saves the Generator's fixed cost per row.  bench/streams.py measures
 # the crossover (200-250 steps at 4096 rows on a 2-vCPU Xeon VM).
 VECTOR_STEPS = 192
-# The fine Lüders engine scans a block in windows of VECTOR_STEPS columns, so
-# that a block of rows that short is one window, widened to _WINDOW_ELEMENTS
-# uniforms for a block of fewer than 22 rows: a window costs a few numpy calls
-# and each leave compares its row's window again.  Timed over bench/engine.py's
-# shapes on a 2-vCPU Xeon VM, 96 columns were 10-15 % slower on 100-step
-# blocks, and one long row took 20-30 % longer in windows of 1024 than of
-# 4096, while 2048 and 8192 were within the noise of 4096.
-_WINDOW_ELEMENTS = 4096
+# A fine Lüders window's numpy calls cost about as much as testing this many
+# uniforms (_window_width): 2**16 and 2**17 timed best on a 2-vCPU Xeon VM.
+_WINDOW_ELEMENTS = 1 << 17
 # The numpy draw fills (rows, width) tiles of about _TILE_ELEMENTS, with the
 # fewest tiles of at most _TILE_WIDTH steps per row, all of one width.
 _TILE_WIDTH = 16
@@ -446,6 +441,15 @@ def zeno_times(params: BathParams) -> ZenoReport:
     return ZenoReport(tau, tau_0, tau_1, tau_0 / tau, tau_1 / tau)
 
 
+def _window_width(n_rows: int, leave_rate: float) -> int:
+    """Columns per fine Lüders window for ``n_rows`` rows that leave their level
+    ``leave_rate`` times per readout: a window's numpy calls cost about
+    :data:`_WINDOW_ELEMENTS` uniform tests and each leave tests its row's window
+    again, which balance at ``sqrt(_WINDOW_ELEMENTS / (n_rows * leave_rate))``."""
+    rate = max(leave_rate, 1 / _WINDOW_ELEMENTS)  # bounds a window of rows that never leave
+    return max(1, int(math.sqrt(_WINDOW_ELEMENTS / (n_rows * rate))))
+
+
 def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray) -> np.ndarray:
     """Outcomes of the measurement loop under a fine partition, one row per
     row of ``uniforms``.
@@ -455,13 +459,13 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     masses: it is k again exactly when ``cum_k[k-1] <= u < cum_k[k]`` (no
     upper bound at the top level, where a uniform above the column's mass
     clamps).  So after the first readout the block is scanned in aligned
-    windows of columns: every row's uniforms in a window are compared with
-    its level's interval, a row that leaves is bisected at its first leave,
-    and only those rows are compared again, with their new level, past that
-    column, until no row leaves; the levels carry into the next window.  A
+    windows of columns (:func:`_window_width` wide, for the rows' mean leave
+    rate ``1 - tmat[k, k]``): every row's uniforms in a window are compared
+    with its level's interval, a row that leaves is bisected at its first
+    leave, and only those rows are compared again, with their new level, past
+    that column, until no row leaves; the levels carry into the next window.  A
     row that never leaves (most rows, when readouts are frequent) costs one
-    interval test per readout.  The runs found are expanded into outcomes
-    at the end.
+    interval test per readout; the runs expand into outcomes at the end.
     """
     n_rows, steps = uniforms.shape
     n_levels = tmat.shape[0]
@@ -486,24 +490,24 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     )
     # every run of a level, as its flat start (row * steps + step) and level
     run_starts, run_levels = [np.arange(n_rows) * steps], [level.copy()]
-    width = min(steps, max(VECTOR_STEPS, _WINDOW_ELEMENTS // n_rows))
-    for start in range(1, steps, width):
+    start = 1
+    while start < steps:
+        width = min(steps - start, _window_width(n_rows, 1.0 - tmat[level, level].mean()))
         window = uniforms[:, start:start + width]
-        columns = np.arange(window.shape[1])
-        rows, u, after = np.arange(n_rows), window, -1
+        rows, k, u, after = np.arange(n_rows), level, window, None
         while rows.size:
-            k = level[rows]
             leave = u < lower[k, None]
             leave |= u >= upper[k, None]  # in place: one fewer window-sized mask
-            leave &= columns > after  # only past the row's last leave in this window
+            if after is not None:  # only past the row's last leave in this window
+                leave &= np.arange(width) > after
             at = leave.argmax(axis=1)
             left = leave[np.arange(rows.size), at]
-            rows, at = rows[left], at[left]
-            was = level[rows]
-            level[rows] = bisect(cum[was], window[rows, at], tmat[-1, was])
+            rows, at, was = rows[left], at[left], k[left]
+            level[rows] = k = bisect(cum[was], window[rows, at], tmat[-1, was])
             run_starts.append(rows * steps + start + at)
-            run_levels.append(level[rows])
+            run_levels.append(k)
             u, after = window[rows], at[:, None]
+        start += width
     starts = np.concatenate(run_starts)
     order = np.argsort(starts)
     lengths = np.diff(np.append(starts[order], n_rows * steps))

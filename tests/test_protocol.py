@@ -209,21 +209,31 @@ class TestLudersEngine:
         assert hashlib.sha256(outcomes.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "trunc,n_traj,steps,digest",
+        "trunc,n_traj,steps,n_thermal,gdt,digest",
         [
-            (40, 4096, 100, "4ce6ff2aa6c2ae348f1867294eccc4a6de731fd2b98032da71846ddb66689263"),
-            (40, 2000, 1000, "21f72786ca90b0dcd7a21221d9796cdb59efdba683d09d2c263e6cc2e538569f"),
-            (1, 1, 200_000, "1dd15ac97656725a650582ac582e0af092d81cfed0712f5476dc71388e7493a4"),
+            (40, 4096, 100, 0.1, 0.01, "4ce6ff2aa6c2ae348f1867294eccc4a6de731fd2b98032da71846ddb66689263"),
+            (40, 2000, 1000, 0.1, 0.01, "21f72786ca90b0dcd7a21221d9796cdb59efdba683d09d2c263e6cc2e538569f"),
+            (1, 1, 200_000, 0.1, 0.01, "1dd15ac97656725a650582ac582e0af092d81cfed0712f5476dc71388e7493a4"),
+            (40, 4096, 100, 2.0, 0.1, "4e01b0351e16fea86217d39d4f5fb066c4d6a06e1679408a7dfbedaa8c895e0c"),
+            (1, 1, 200_000, 0.1, 1.0, "a56b802939d5b8969267503fd70f4b2af0b4ac99f8428c123e8be83699d98fee"),
         ],
-        ids=["survival-block", "ac5-blocks", "dwell-row"],
+        ids=["survival-block", "ac5-blocks", "dwell-row", "survival-block-often", "dwell-row-often"],
     )
-    def test_fine_outcomes_are_pinned(self, trunc, n_traj, steps, digest):
-        # seed 0 from level 0 at gamma*dt = 0.01: a 100-step block that is one
-        # window, 786-row blocks of several, one row of many
-        sched = MeasurementSchedule(0.01, steps, ProjectorPartition.fine(trunc))
-        outcomes = run_ensemble(PARAMS, sched, 0, trunc, n_traj, 0).outcomes
+    def test_fine_outcomes_are_pinned(self, trunc, n_traj, steps, n_thermal, gdt, digest):
+        # seed 0 from level 0: a 100-step block, 786-row blocks of 1000 steps
+        # and one row of many, at gamma*dt = 0.01 (about 9 in 10 rows never
+        # leave their first level) and at settings where readouts leave often
+        sched = MeasurementSchedule(gdt, steps, ProjectorPartition.fine(trunc))
+        outcomes = run_ensemble(bath_from_gamma(1.0, n_thermal), sched, 0, trunc, n_traj, 0).outcomes
         assert outcomes.dtype == np.int16 and outcomes.shape == (n_traj, steps)
         assert hashlib.sha256(outcomes.tobytes()).hexdigest() == digest
+
+    def test_window_width_narrows_as_rows_and_leaves_grow(self):
+        width = protocol._window_width
+        assert width(4096, 0.42) < width(4096, 0.002) < width(1, 0.002)
+        # rows that never leave take the widest window, and many busy rows one column
+        assert width(1, 0.0) == protocol._WINDOW_ELEMENTS
+        assert width(protocol._WINDOW_ELEMENTS * 4, 1.0) == 1
 
     def test_coarse_shards_across_a_row_block_concatenate(self):
         # one row, then the rest of the first row block, then rows of the second
@@ -379,7 +389,7 @@ class TestFineEngineEdgesInNarrowWindows(TestFineEngineEdges):
     @pytest.fixture(autouse=True)
     def narrow_windows(self, monkeypatch, width):
         monkeypatch.setattr(protocol, "VECTOR_STEPS", width)
-        monkeypatch.setattr(protocol, "_WINDOW_ELEMENTS", width)
+        monkeypatch.setattr(protocol, "_window_width", lambda n_rows, leave_rate: width)
 
 
 class TestGillespieEngine:
