@@ -1,0 +1,251 @@
+"""Layer timings: each stage of a run at the shapes the commands run it, the
+step count where the numpy PCG64 draw stops beating the per-row Generator,
+and a grid over the fine Lüders engine's ``_WINDOW_ELEMENTS``.
+
+Run from a checkout::
+
+    PYTHONPATH=src python bench/layers.py [--repeats 7] [--out BENCH_layers.json]
+        [--before OTHER.json]
+
+Each timing is the median of ``--repeats`` runs in this process, on inputs
+built before the clock starts; ``peak_mb`` is the ``tracemalloc`` peak of
+one more run (numpy reports its buffers to ``tracemalloc``), in 1e6 bytes.
+Layers run at ``gamma = 1`` from level 0, at the settings in their entry
+(``null`` where one does not apply).  ``uniforms`` and ``fine_outcomes`` run
+in blocks cut as ``run_ensemble`` cuts them, one block's outcomes discarded
+before the next; ``jump_engine`` is ``run_ensemble`` with the Gillespie
+engine; ``transition_matrix`` is one uncached build over ``gdt``;
+``ks_distance`` is AC5's test on level-0 interior dwells, and ``ks_import``
+its first call, which imports scipy (one untraced run, so no peak).
+``--before`` takes this script's JSON from another revision (run with that
+revision's ``src`` on ``PYTHONPATH``) and adds its numbers and the speed-up
+to each entry.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+import tracemalloc
+from contextlib import contextmanager
+from functools import partial
+
+import numpy as np
+
+from qndsim import dynamics, protocol, stats
+from qndsim.core import bath_from_gamma, build_generator, pure_level
+from qndsim.measurement import ProjectorPartition
+
+N_THERMAL = 0.1
+PARAMS = bath_from_gamma(1.0, N_THERMAL)
+DT = 0.01
+DEFAULTS = (N_THERMAL, DT)
+# (rows, steps) of the benchmark's ensembles and records: survival at 25 000
+# and at 20 000 trajectories, the coarse ensemble, AC5, a 2e5-step dwell record
+UNIFORM_SHAPES = ((25_000, 100), (20_000, 100), (200, 100), (2_000, 1_000), (1, 200_000))
+# (truncation, rows, steps, n_thermal, gdt): survival, survival --trunc 1, AC5,
+# dwell --trunc 1 at the defaults, where about 9 in 10 rows never leave their
+# first level; then with frequent leaves (0.42 to 0.45 leaves per readout at
+# n_thermal 2, gdt 0.1; 0.11 at gdt 1): survival --n-thermal 2 --gdt 0.1
+# --horizon 10 in one block, AC5's blocks at those settings, dwell --trunc 1 --gdt 1
+ENGINE_SHAPES = (
+    (40, 25_000, 100, N_THERMAL, DT), (1, 20_000, 100, N_THERMAL, DT),
+    (40, 2_000, 1_000, N_THERMAL, DT), (1, 1, 200_000, N_THERMAL, DT),
+    (40, 4_096, 100, 2.0, 0.1), (40, 2_000, 1_000, 2.0, 0.1), (1, 1, 200_000, N_THERMAL, 1.0),
+)
+# (truncation, rows, steps) of survival at 25 000 trajectories
+SURVIVAL_SHAPE = (40, 25_000, 100)
+# AC4 and dwell --engine gillespie, then AC5
+JUMP_SHAPES = ((1, 1, 4_000_000), (40, 2_000, 1_000))
+DWELL_SHAPE = (1, 1, 4_000_000)
+# (truncation, gamma * duration): every command's readout interval, the
+# two-level chain of dwell, AC2 and AC3, and AC1's longest step (two passes)
+TRANSITION_SHAPES = ((40, DT), (1, DT), (40, 5.0))
+AC5_SHAPE = (40, 2_000, 1_000)
+CROSSOVER_ROWS = 4096
+CROSSOVER_STEPS = (50, 100, 150, 175, 192, 200, 225, 250, 300, 500, 1000)
+WINDOW_ELEMENTS = tuple(2**k for k in range(15, 20))
+SETTINGS = ("trunc", "rows", "steps", "n_thermal", "gdt")
+
+
+def _median_s(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times), 5)
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@contextmanager
+def _forced(name: str, value: int):
+    """``protocol.<name>`` set to ``value`` for the duration of the block."""
+    saved = getattr(protocol, name)
+    setattr(protocol, name, value)
+    try:
+        yield
+    finally:
+        setattr(protocol, name, saved)
+
+
+def _machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fp:
+            cpu = next(line.split(":", 1)[1].strip() for line in fp if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
+def _blocks(n: int, steps: int) -> list[tuple[int, int]]:
+    """(first row, rows) of each block, cut as ``run_ensemble`` cuts them."""
+    rows = protocol._block_rows(steps)
+    return [(start, min(rows, n - start)) for start in range(0, n, rows)]
+
+
+def _uniforms(n: int, steps: int):
+    def draw():
+        for start, rows in _blocks(n, steps):
+            protocol._uniforms(0, start, rows, steps)
+    return draw
+
+
+def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float):
+    tmat = dynamics.transition_matrix(build_generator(bath_from_gamma(1.0, n_thermal), trunc), gdt)
+    pop = pure_level(0, trunc)
+    blocks = [protocol._uniforms(0, start, rows, steps) for start, rows in _blocks(n, steps)]
+
+    def scan():
+        for uniforms in blocks:
+            protocol._fine_outcomes(tmat, pop, uniforms)
+    return scan
+
+
+def _ensemble(trunc: int, n: int, steps: int, engine: str = "luders", seed: int = 0):
+    schedule = protocol.MeasurementSchedule(DT, steps, ProjectorPartition.fine(trunc))
+    return lambda: protocol.run_ensemble(PARAMS, schedule, 0, trunc, n, seed, engine=engine)
+
+
+def _transition(trunc: int, duration: float):
+    gen = build_generator(PARAMS, trunc)
+
+    def build():
+        dynamics._cached_transition.cache_clear()  # else this times a cache hit
+        dynamics.transition_matrix(gen, duration)
+    return build
+
+
+def _entry(layer: str, shape: tuple, median_s: float, peak_mb: float | None) -> dict:
+    return {"layer": layer, **dict(zip(SETTINGS, shape)), "median_s": median_s, "peak_mb": peak_mb}
+
+
+def _layers(repeats: int) -> list[dict]:
+    ac5 = _ensemble(*AC5_SHAPE)(), _ensemble(*AC5_SHAPE, "gillespie", seed=11)()
+    dwells = [stats.dwell_statistics(e).interior_dwell_lengths[0] for e in ac5]
+    start = time.perf_counter()
+    stats.ks_distance(*dwells)
+    ks_import = time.perf_counter() - start
+    survival = _ensemble(*SURVIVAL_SHAPE)()
+    record = _ensemble(*DWELL_SHAPE, "gillespie")()
+    cases = [("uniforms", (None, n, s, None, None), _uniforms(n, s)) for n, s in UNIFORM_SHAPES]
+    cases += [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
+    cases += [("jump_engine", shape + DEFAULTS, _ensemble(*shape, "gillespie")) for shape in JUMP_SHAPES]
+    cases += [
+        ("estimate_survival", SURVIVAL_SHAPE + DEFAULTS, lambda: stats.estimate_survival(survival, 0)),
+        ("dwell_statistics", DWELL_SHAPE + DEFAULTS, lambda: stats.dwell_statistics(record)),
+    ]
+    cases += [
+        ("transition_matrix", (t, None, None, N_THERMAL, gdt), _transition(t, gdt))
+        for t, gdt in TRANSITION_SHAPES
+    ]
+    cases.append(("ks_distance", AC5_SHAPE + DEFAULTS, lambda: stats.ks_distance(*dwells)))
+    entries = [
+        _entry(layer, shape, _median_s(fn, repeats), round(_peak_mb(fn), 2)) for layer, shape, fn in cases
+    ]
+    entries.append(_entry("ks_import", AC5_SHAPE + DEFAULTS, round(ks_import, 5), None))
+    return entries
+
+
+def _crossover(repeats: int) -> dict:
+    rows = []
+    for steps in CROSSOVER_STEPS:
+        draw, row = partial(protocol._uniforms, 0, 0, CROSSOVER_ROWS, steps), {"steps": steps}
+        for name, vector_steps in (("vector_s", sys.maxsize), ("generator_s", 0)):
+            with _forced("VECTOR_STEPS", vector_steps):
+                row[name] = _median_s(draw, repeats)
+        rows.append(row)
+    wins = [r["steps"] for r in rows if r["vector_s"] < r["generator_s"]]
+    return {
+        "rows": CROSSOVER_ROWS,
+        "vector_steps": protocol.VECTOR_STEPS,
+        "largest_step_count_where_vector_wins": max(wins, default=None),
+        "table": rows,
+    }
+
+
+def _window_grid(repeats: int) -> dict:
+    rows = []
+    for shape in ENGINE_SHAPES:
+        run, median_s = _engine(*shape), {}
+        for value in WINDOW_ELEMENTS:
+            with _forced("_WINDOW_ELEMENTS", value):
+                median_s[value] = _median_s(run, repeats)
+        best = min(median_s, key=median_s.get)
+        rows.append({**dict(zip(SETTINGS, shape)), "median_s": median_s, "best": best})
+    return {"window_elements": protocol._WINDOW_ELEMENTS, "table": rows}
+
+
+def _key(entry: dict) -> tuple:
+    return (entry["layer"],) + tuple(entry[k] for k in SETTINGS)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--out", help="write the JSON here instead of stdout")
+    parser.add_argument("--before", help="this script's JSON from another revision, to compare with")
+    args = parser.parse_args(argv)
+    entries = _layers(args.repeats)
+    if args.before:
+        with open(args.before) as fp:
+            before = {_key(e): e for e in json.load(fp)["layers"]}
+        for entry in entries:
+            old = before.get(_key(entry))
+            if old:
+                entry["before_s"] = old["median_s"]
+                entry["speedup"] = round(entry["before_s"] / entry["median_s"], 2)
+                entry["before_peak_mb"] = old["peak_mb"]
+    report = {
+        "machine": _machine(),
+        "repeats": args.repeats,
+        "layers": entries,
+        "crossover": _crossover(args.repeats),
+        "window_grid": _window_grid(args.repeats),
+    }
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as fp:
+            fp.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

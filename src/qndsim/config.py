@@ -8,6 +8,7 @@ the predictions depend only on (gamma*dt, gamma*t, n_thermal).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from .core import BathParams, bath_from_gamma, thermal_tail_mass
@@ -52,8 +53,10 @@ class RunConfig:
     def validate(self) -> list[str]:
         """Raise :class:`ConfigError` on hard violations; return warnings."""
         for name in ("gamma", "n_thermal", "gdt", "horizon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.dt == math.inf:
+            raise ConfigError(f"gdt = {self.gdt} over gamma = {self.gamma} overflows")
         if self.trunc < 1:
             raise ConfigError(f"trunc must be at least 1, got {self.trunc}")
         if self.traj < 1:
@@ -67,11 +70,19 @@ class RunConfig:
         if self.gdt > self.horizon:
             raise ConfigError(f"gdt = {self.gdt} exceeds horizon = {self.horizon}")
         intervals = self.horizon / self.gdt
+        if intervals == math.inf:
+            raise ConfigError(f"horizon = {self.horizon} over gdt = {self.gdt} overflows")
         if abs(intervals - round(intervals)) > HORIZON_RTOL * intervals:
             raise ConfigError(
                 f"horizon = {self.horizon} is not a whole number of gdt = {self.gdt} steps"
             )
-        tail = thermal_tail_mass(self.bath(), self.trunc) if self.trunc > 1 else 0.0
+        try:
+            bath = self.bath()
+        except ValueError as exc:  # a rate overflows, e.g. B_a = gamma * (1 + n_thermal)
+            raise ConfigError(
+                f"gamma = {self.gamma} and n_thermal = {self.n_thermal}: {exc}"
+            ) from None
+        tail = thermal_tail_mass(bath, self.trunc) if self.trunc > 1 else 0.0
         dropped = (
             f"trunc = {self.trunc} drops {tail:.2g} of the thermal mass at "
             f"n_thermal = {self.n_thermal:g}"

@@ -116,6 +116,29 @@ class TestExitCodes:
         assert out == ""
         assert "whole number" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--gdt", "nan"),
+            ("--horizon", "inf"),
+            ("--gamma", "inf"),
+            ("--gamma", "nan"),
+            ("--n-thermal", "nan"),
+            ("--n-thermal", "inf"),
+            ("--gamma", "1e308", "--n-thermal", "10"),  # B_a overflows
+            ("--gamma", "1e-320"),  # dt = gdt / gamma overflows
+            ("--horizon", "1e300", "--gdt", "1e-10"),  # the step count overflows
+            ("--config", "nan.json"),
+        ],
+    )
+    def test_unrepresentable_value_is_exit_1(self, capsys, monkeypatch, tmp_path, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan.json").write_text('{"gdt": NaN}')
+        code, out, err = run_cli(capsys, "survival", "--traj", "10", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_unwritable_out_is_exit_1(self, capsys, tmp_path):
         missing = tmp_path / "missing_dir" / "x.csv"
         code, _, err = run_cli(capsys, "relax", "--horizon", "0.05", "--out", str(missing))
