@@ -8,13 +8,15 @@ Run from a checkout::
         [--before OTHER.json]
 
 Each timing is the median of ``--repeats`` runs in this process, on inputs
-built before the clock starts; ``peak_mb`` is the ``tracemalloc`` peak of
-one more run (numpy reports its buffers to ``tracemalloc``), in 1e6 bytes.
+built before the clock starts; a layer's ``iqr_s`` is the interquartile
+range of its runs (0 for one run), the spread a ``speedup`` must clear to
+mean anything.  ``peak_mb`` is the ``tracemalloc`` peak of one more run
+(numpy reports its buffers to ``tracemalloc``), in 1e6 bytes.
 Layers run at ``gamma = 1`` from level 0, at the settings in their entry
 (``null`` where one does not apply).  ``uniforms`` and ``fine_outcomes`` run
 in blocks cut as ``run_ensemble`` cuts them, one block's outcomes discarded
 before the next; ``jump_engine`` is ``run_ensemble`` with the Gillespie
-engine; ``transition_matrix`` is one uncached build over ``gdt``;
+engine; ``transition_matrix`` is one build over ``gdt``;
 ``ks_distance`` is AC5's test on level-0 interior dwells, and ``ks_import``
 its first call, which imports scipy (one untraced run, so no peak).
 ``--before`` takes this script's JSON from another revision (run with that
@@ -73,13 +75,17 @@ WINDOW_ELEMENTS = tuple(2**k for k in range(15, 20))
 SETTINGS = ("trunc", "rows", "steps", "n_thermal", "gdt")
 
 
-def _median_s(fn, repeats: int) -> float:
+def _times(fn, repeats: int) -> list[float]:
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return round(statistics.median(times), 5)
+    return times
+
+
+def _median_s(fn, repeats: int) -> float:
+    return round(statistics.median(_times(fn, repeats)), 5)
 
 
 def _peak_mb(fn) -> float:
@@ -143,16 +149,15 @@ def _ensemble(trunc: int, n: int, steps: int, engine: str = "luders", seed: int 
 
 
 def _transition(trunc: int, duration: float):
-    gen = build_generator(PARAMS, trunc)
-
-    def build():
-        dynamics._cached_transition.cache_clear()  # else this times a cache hit
-        dynamics.transition_matrix(gen, duration)
-    return build
+    return partial(dynamics.transition_matrix, build_generator(PARAMS, trunc), duration)
 
 
-def _entry(layer: str, shape: tuple, median_s: float, peak_mb: float | None) -> dict:
-    return {"layer": layer, **dict(zip(SETTINGS, shape)), "median_s": median_s, "peak_mb": peak_mb}
+def _entry(layer: str, shape: tuple, times: list[float], peak_mb: float | None) -> dict:
+    low, high = np.percentile(times, (25, 75))
+    return {
+        "layer": layer, **dict(zip(SETTINGS, shape)), "median_s": round(statistics.median(times), 5),
+        "iqr_s": round(high - low, 5), "peak_mb": peak_mb,
+    }
 
 
 def _layers(repeats: int) -> list[dict]:
@@ -175,10 +180,8 @@ def _layers(repeats: int) -> list[dict]:
         for t, gdt in TRANSITION_SHAPES
     ]
     cases.append(("ks_distance", AC5_SHAPE + DEFAULTS, lambda: stats.ks_distance(*dwells)))
-    entries = [
-        _entry(layer, shape, _median_s(fn, repeats), round(_peak_mb(fn), 2)) for layer, shape, fn in cases
-    ]
-    entries.append(_entry("ks_import", AC5_SHAPE + DEFAULTS, round(ks_import, 5), None))
+    entries = [_entry(layer, shape, _times(fn, repeats), round(_peak_mb(fn), 2)) for layer, shape, fn in cases]
+    entries.append(_entry("ks_import", AC5_SHAPE + DEFAULTS, [ks_import], None))
     return entries
 
 

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .core import BathParams, bath_from_gamma, thermal_tail_mass
+from .protocol import ENGINES
 
-ENGINES = ("luders", "gillespie")
 MODES = ("paper", "exact")
 HORIZON_RTOL = 1e-9  # horizon/gdt may miss an integer by this much (float rounding)
 # Thermal mass above the truncation: warned about past TAIL_WARN, rejected

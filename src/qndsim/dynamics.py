@@ -18,7 +18,6 @@ Two evolution modes exist side by side and are never mixed implicitly:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,11 +49,18 @@ def _series(kernel: np.ndarray, mean: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _cached_transition(up_bytes: bytes, down_bytes: bytes, duration: float) -> np.ndarray:
-    up = np.frombuffer(up_bytes)
-    down = np.frombuffer(down_bytes)
-    gen = BirthDeathGenerator(up, down)
+def transition_matrix(gen: BirthDeathGenerator, duration: float) -> np.ndarray:
+    """Stochastic matrix ``exp(duration * Q)`` (read-only).
+
+    All entries are non-negative exactly; each column sums to 1 minus the
+    neglected Poisson tail.  That tail is below about 1e-13 per
+    uniformization pass, with one pass per ~128 mean uniformized events, and
+    the total-variation error grows with the number of passes: no fixed
+    bound holds for all horizons (e.g. trunc 120, n_thermal 1, duration 100
+    takes 280 passes and leaves a column deficit of 2e-12).
+    """
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be non-negative and finite, got {duration}")
     rate = float(gen.outflow_rates().max())
     if rate * duration == 0.0:
         mat = np.eye(gen.truncation + 1)
@@ -69,29 +75,12 @@ def _cached_transition(up_bytes: bytes, down_bytes: bytes, duration: float) -> n
     return mat
 
 
-def transition_matrix(gen: BirthDeathGenerator, duration: float) -> np.ndarray:
-    """Stochastic matrix ``exp(duration * Q)`` (read-only, cached).
-
-    All entries are non-negative exactly; each column sums to 1 minus the
-    neglected Poisson tail.  That tail is below about 1e-13 per
-    uniformization pass, with one pass per ~128 mean uniformized events, and
-    the total-variation error grows with the number of passes: no fixed
-    bound holds for all horizons (e.g. trunc 120, n_thermal 1, duration 100
-    takes 280 passes and leaves a column deficit of 2e-12).
-    """
-    if duration < 0.0:
-        raise ValueError(f"duration must be non-negative, got {duration}")
-    return _cached_transition(gen.up.tobytes(), gen.down.tobytes(), float(duration))
-
-
 def propagate(gen: BirthDeathGenerator, pop: PopulationVector, duration: float) -> PopulationVector:
     """Relax ``pop`` for ``duration`` under the exact chain."""
     if gen.truncation != pop.truncation:
         raise ValueError(
             f"generator truncation {gen.truncation} != population truncation {pop.truncation}"
         )
-    if duration < 0.0:
-        raise ValueError(f"duration must be non-negative, got {duration}")
     if duration == 0.0:
         return pop
     return PopulationVector(transition_matrix(gen, duration) @ pop.weights)

@@ -22,7 +22,8 @@ class ZeroProbabilityError(ValueError):
 
 @dataclass(frozen=True)
 class ProjectorPartition:
-    """Ordered partition of levels 0..N into disjoint, covering bins."""
+    """Ordered partition of levels 0..N into disjoint, covering bins;
+    ``level_bin[n]`` is the index of the bin holding level n (read-only)."""
 
     truncation: int
     bins: tuple[tuple[int, ...], ...]
@@ -37,11 +38,11 @@ class ProjectorPartition:
         if sorted(flat) != list(range(self.truncation + 1)):
             raise ValueError(f"bins must cover 0..{self.truncation} exactly once")
         object.__setattr__(self, "bins", bins)
-        level_to_bin = np.empty(self.truncation + 1, dtype=np.intp)
+        level_bin = np.empty(self.truncation + 1, dtype=np.intp)
         for j, b in enumerate(bins):
-            level_to_bin[list(b)] = j
-        level_to_bin.setflags(write=False)
-        object.__setattr__(self, "_level_to_bin", level_to_bin)
+            level_bin[list(b)] = j
+        level_bin.setflags(write=False)
+        object.__setattr__(self, "level_bin", level_bin)
 
     @classmethod
     def fine(cls, truncation: int) -> "ProjectorPartition":
@@ -55,9 +56,6 @@ class ProjectorPartition:
     @property
     def is_fine(self) -> bool:
         return self.bins == tuple((n,) for n in range(self.truncation + 1))
-
-    def bin_of(self, level: int) -> int:
-        return int(self._level_to_bin[level])
 
 
 def _check_truncation(pop: PopulationVector, partition: ProjectorPartition) -> None:

@@ -32,6 +32,9 @@ from .measurement import ProjectorPartition, ZeroProbabilityError
 # Documented stream-derivation mixer; echoed in CLI output metadata.
 SEED_DERIVATION = "numpy SeedSequence((master_seed, trajectory_index)) -> PCG64"
 
+# Trajectory engines of run_ensemble: the measurement loop and the jump process.
+ENGINES = ("luders", "gillespie")
+
 # Trajectories sampled together, for rows of at most VECTOR_STEPS steps;
 # longer rows come in proportionally fewer (:func:`_block_rows`).  So no block
 # holds more than BLOCK_ROWS * VECTOR_STEPS uniforms (one row excepted), which
@@ -53,10 +56,12 @@ class MeasurementSchedule:
     partition: ProjectorPartition
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if self.horizon == math.inf:
+            raise ValueError(f"horizon = {self.steps} * {self.dt} overflows")
 
     @property
     def horizon(self) -> float:
@@ -114,8 +119,8 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # Rows of at most this many steps are drawn by PCG64 in numpy arithmetic,
 # longer ones by a per-row Generator: the numpy draw costs more per double
-# but saves the Generator's fixed cost per row.  bench/streams.py measures
-# the crossover (200-250 steps at 4096 rows on a 2-vCPU Xeon VM).
+# but saves the Generator's fixed cost per row.  bench/layers.py measures
+# the crossover (150 steps at 4096 rows on a 2-vCPU Xeon VM).
 VECTOR_STEPS = 192
 # A fine Lüders window's numpy calls cost about as much as testing this many
 # uniforms (_window_width): 2**16 and 2**17 timed best on a 2-vCPU Xeon VM.
@@ -530,7 +535,7 @@ def _coarse_outcomes(
     """
     n_rows, steps = uniforms.shape
     n_levels, n_bins = tmat.shape[0], partition.n_bins
-    level_bin = np.array([partition.bin_of(n) for n in range(n_levels)])
+    level_bin = partition.level_bin
     indicator = (level_bin[:, None] == np.arange(n_bins)).astype(float)
     weights = np.broadcast_to(pop.weights, (n_rows, 1, n_levels))
     outcomes = np.empty((n_rows, steps), dtype=_outcome_dtype(n_bins))
@@ -578,7 +583,7 @@ def run_ensemble(
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
-    if engine not in ("luders", "gillespie"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     partition = schedule.partition
     if partition.truncation != truncation:

@@ -4,8 +4,8 @@ stream derivation."""
 
 import numpy as np
 
-from qndsim.core import build_generator
-from qndsim.dynamics import propagate
+from qndsim.core import PopulationVector, build_generator
+from qndsim.dynamics import transition_matrix
 from qndsim.measurement import ProjectorPartition, luders_collapse, outcome_probabilities
 
 
@@ -27,11 +27,11 @@ def sample_outcome(pop, partition: ProjectorPartition, rng) -> int:
 
 def reference_loop(params, schedule, initial, truncation, seed_pair):
     """The measurement loop, relax -> sample -> collapse, one step at a time."""
-    gen = build_generator(params, truncation)
+    tmat = transition_matrix(build_generator(params, truncation), schedule.dt)
     rng = trajectory_rng(*seed_pair)
     state, outcomes = initial, []
     for _ in range(schedule.steps):
-        relaxed = propagate(gen, state, schedule.dt)
+        relaxed = PopulationVector(tmat @ state.weights)
         j = sample_outcome(relaxed, schedule.partition, rng)
         state = luders_collapse(relaxed, schedule.partition, j)
         outcomes.append(j)

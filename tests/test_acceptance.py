@@ -91,6 +91,22 @@ def test_ac7_fault_changes_only_its_invariant(results, monkeypatch, name, fault,
     assert len(faulty.details) == len(clean) == 9
 
 
+def test_rerun_rebuilds_every_transition_matrix(monkeypatch):
+    # a run on a fresh _Shared shares nothing with an earlier one: AC1 builds
+    # its five matrices (one uniformization series each) both times
+    from qndsim import dynamics
+
+    calls = []
+    series = dynamics._series
+    monkeypatch.setattr(dynamics, "_series", lambda *args: calls.append(1) or series(*args))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        validation.check_ac1(validation._Shared(RunConfig()))
+        counts.append(len(calls))
+    assert counts == [5, 5]
+
+
 def test_ac8_determinism(results):
     report(results["AC8"])
 

@@ -79,6 +79,22 @@ class TestPropagate:
         assert tmat.min() >= 0.0
         assert np.abs(tmat.sum(axis=0) - 1.0).max() <= 1e-12
 
+    def test_transition_matrix_is_built_per_call(self):
+        # no state is kept between calls: each returns its own read-only build
+        gen = build_generator(PARAMS, 10)
+        first, second = transition_matrix(gen, 0.8), transition_matrix(gen, 0.8)
+        assert first is not second
+        assert first.tobytes() == second.tobytes()
+        assert not first.flags.writeable and not second.flags.writeable
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_rejects_non_finite_duration(self, duration):
+        gen = build_generator(PARAMS, 3)
+        with pytest.raises(ValueError, match="finite"):
+            transition_matrix(gen, duration)
+        with pytest.raises(ValueError, match="finite"):
+            propagate(gen, pure_level(0, 3), duration)
+
     def test_long_horizon_split(self):
         # durations long enough to force series splitting still relax to thermal
         gen = build_generator(PARAMS, 30)

@@ -37,7 +37,7 @@ class TestPartition:
         part = ProjectorPartition.fine(3)
         assert part.bins == ((0,), (1,), (2,), (3,))
         assert part.is_fine
-        assert part.bin_of(2) == 2
+        assert part.level_bin.tolist() == [0, 1, 2, 3]
 
     def test_single_bin(self):
         part = ProjectorPartition(3, ((0, 1, 2, 3),))

@@ -121,6 +121,16 @@ class TestSchedule:
             MeasurementSchedule(0.1, 0, part)
         assert MeasurementSchedule(0.1, 10, part).horizon == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        # an infinite horizon would never end a jump path
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSchedule(dt, 5, ProjectorPartition.fine(2))
+
+    def test_rejects_overflowing_horizon(self):
+        with pytest.raises(ValueError, match="overflows"):
+            MeasurementSchedule(1e308, 10, ProjectorPartition.fine(2))
+
 
 class TestLudersEngine:
     def test_deterministic_given_seed_pair(self):
