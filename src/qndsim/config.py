@@ -11,7 +11,8 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
-from .core import BathParams, bath_from_gamma, thermal_tail_mass
+from .core import BathParams, bath_from_gamma, build_generator, thermal_tail_mass
+from .dynamics import uniformization_passes
 from .protocol import ENGINES
 
 MODES = ("paper", "exact")
@@ -89,6 +90,10 @@ class RunConfig:
         )
         if tail > TAIL_MAX:
             raise ConfigError(f"{dropped} (limit {TAIL_MAX:g}): raise trunc")
+        try:
+            uniformization_passes(build_generator(bath, self.trunc), self.dt)
+        except ValueError as exc:
+            raise ConfigError(f"gdt = {self.gdt} at trunc = {self.trunc}: {exc}") from None
         warnings = []
         if self.n_thermal >= 1.0:
             warnings.append(

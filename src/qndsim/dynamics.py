@@ -21,13 +21,15 @@ import math
 
 import numpy as np
 
-from .core import BathParams, BirthDeathGenerator, PopulationVector
+from .core import NORM_TOL, BathParams, BirthDeathGenerator, PopulationVector
 
 # Neglected Poisson tail per uniformization pass (total-variation error);
 # horizons are split so the Poisson mean per pass stays moderate.  The tails
-# of successive passes add up, so long horizons lose more mass in total.
+# of successive passes add up: with round-off a pass loses below about 1e-13
+# of a column's mass, so past MAX_PASSES a column could lack over NORM_TOL.
 _TAIL = 1e-14
 _MAX_POISSON_MEAN = 128.0
+MAX_PASSES = round(NORM_TOL / 1e-13)
 
 
 def _series(kernel: np.ndarray, mean: float) -> np.ndarray:
@@ -49,26 +51,30 @@ def _series(kernel: np.ndarray, mean: float) -> np.ndarray:
     return out
 
 
+def uniformization_passes(gen: BirthDeathGenerator, duration: float) -> int:
+    """Passes of :func:`transition_matrix`; ``ValueError`` past :data:`MAX_PASSES`."""
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be non-negative and finite, got {duration}")
+    passes = float(gen.outflow_rates().max()) * duration / _MAX_POISSON_MEAN
+    if passes > MAX_PASSES:
+        raise ValueError(f"duration {duration} needs more than {MAX_PASSES} uniformization passes")
+    return math.ceil(passes)
+
+
 def transition_matrix(gen: BirthDeathGenerator, duration: float) -> np.ndarray:
     """Stochastic matrix ``exp(duration * Q)`` (read-only).
 
     All entries are non-negative exactly; each column sums to 1 minus the
     neglected Poisson tail.  That tail is below about 1e-13 per
-    uniformization pass, with one pass per ~128 mean uniformized events, and
-    the total-variation error grows with the number of passes: no fixed
-    bound holds for all horizons (e.g. trunc 120, n_thermal 1, duration 100
-    takes 280 passes and leaves a column deficit of 2e-12).
+    uniformization pass, with one pass per ~128 mean uniformized events, so
+    :func:`uniformization_passes` caps the passes (trunc 120, n_thermal 1,
+    duration 100 takes 280 and leaves a column deficit of 2e-12).
     """
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be non-negative and finite, got {duration}")
-    rate = float(gen.outflow_rates().max())
-    if rate * duration == 0.0:
-        mat = np.eye(gen.truncation + 1)
-    else:
-        passes = max(1, math.ceil(rate * duration / _MAX_POISSON_MEAN))
-        kernel = np.eye(gen.truncation + 1) + gen.rate_matrix() / rate
-        step = _series(kernel, rate * duration / passes)
-        mat = step
+    passes = uniformization_passes(gen, duration)
+    mat = np.eye(gen.truncation + 1)
+    if passes:
+        rate = float(gen.outflow_rates().max())
+        mat = step = _series(mat + gen.rate_matrix() / rate, rate * duration / passes)
         for _ in range(passes - 1):
             mat = step @ mat
     mat.setflags(write=False)

@@ -7,7 +7,7 @@ Two independently built engines realize the same stochastic process:
 * the Lüders engine repeats (relax by Δt) → (sample outcome) → (collapse),
   i.e. the measurement-theoretic loop, using exact-chain propagation;
 * the Gillespie engine simulates the continuous-time jump process directly
-  and reads out the occupied level at the sampling times.
+  and reads out the bin of the occupied level at the sampling times.
 
 Their statistical agreement is itself one of the package's deliverable
 checks.  Reproducibility contract: trajectory i of an ensemble draws from a
@@ -346,21 +346,17 @@ def _outcome_dtype(n_bins: int) -> type:
     return np.int16 if n_bins <= np.iinfo(np.int16).max + 1 else np.int32
 
 
-def _jump_path(
-    params: BathParams, horizon: float, initial_level: int, truncation: int, rng: np.random.Generator
-) -> tuple[list[float], list[int]]:
+def _jump_path(ups: list, downs: list, horizon: float, level: int, rng) -> tuple[list, list]:
     """One jump-process path up to ``horizon``: its jump times and its levels
-    (the initial one, then one per jump).  Per jump the stream gives one
+    (the initial one, then one per jump), at rates ``ups[n]`` up and
+    ``downs[n]`` down from level n.  Per jump the stream gives one
     exponential holding time, then (unless the jump falls past the horizon)
-    one uniform for its direction; at ``B_e = 0`` level 0 is absorbing."""
-    be, ba = params.emission_rate, params.absorption_rate
+    one uniform for its direction; a level with no rate out is absorbing."""
     t = 0.0
-    level = initial_level
     jump_times: list[float] = []
     levels = [level]
     while True:
-        up = be * (level + 1) if level < truncation else 0.0
-        down = ba * level
+        up, down = ups[level], downs[level]
         total = up + down
         if total == 0.0:
             break
@@ -377,7 +373,7 @@ def _read_out(jump_times, levels: np.ndarray, path_levels, dt: float, steps: int
     """Paths sampled at ``dt * (i + 1)``, ``i < steps``, as one row each.
 
     Path r is the next ``path_levels[r]`` entries of ``levels`` (its initial
-    level, then its level after each jump), and ``jump_times`` holds the
+    bin, then its bin after each jump), and ``jump_times`` holds the
     jumps of all paths in the same order, one fewer per path.  A jump's
     first sample number, the least k with ``dt * k >= t``, is
     ``ceil(t / dt)`` corrected once each way with that same float product
@@ -455,6 +451,18 @@ def _window_width(n_rows: int, leave_rate: float) -> int:
     return max(1, int(math.sqrt(_WINDOW_ELEMENTS / (n_rows * rate))))
 
 
+def _bisect(cum: np.ndarray, u: np.ndarray, top_mass: np.ndarray) -> np.ndarray:
+    """Right-sided bisection of each row's uniform ``u`` into its cumulative
+    masses ``cum``, clamped to the last outcome (of mass ``top_mass``).  Only
+    the clamp can pick a zero-mass outcome: it raises ZeroProbabilityError."""
+    n_outcomes = cum.shape[1]
+    count = (cum <= u[:, None]).sum(axis=1)
+    clamped = count == n_outcomes
+    if clamped.any() and np.any(clamped & (top_mass == 0.0)):
+        raise ZeroProbabilityError("a sampled outcome has zero probability")
+    return np.minimum(count, n_outcomes - 1)
+
+
 def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray) -> np.ndarray:
     """Outcomes of the measurement loop under a fine partition, one row per
     row of ``uniforms``.
@@ -480,19 +488,7 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     lower = np.concatenate(([0.0], cum[diagonal[1:], diagonal[:-1]]))
     upper = cum[diagonal, diagonal]
     upper[-1] = np.inf
-
-    def bisect(cum_rows, u, top_mass):
-        count = (cum_rows <= u[:, None]).sum(axis=1)
-        # only a clamp past the column's mass can pick an outcome of zero mass
-        if np.any(top_mass[count == n_levels] == 0.0):
-            raise ZeroProbabilityError("a sampled outcome has zero probability")
-        return np.minimum(count, n_levels - 1)
-
-    level = bisect(
-        np.broadcast_to(np.cumsum(relaxed), (n_rows, n_levels)),
-        uniforms[:, 0],
-        np.broadcast_to(relaxed[-1], n_rows),
-    )
+    level = _bisect(np.cumsum(relaxed)[None], uniforms[:, 0], relaxed[-1])
     # every run of a level, as its flat start (row * steps + step) and level
     run_starts, run_levels = [np.arange(n_rows) * steps], [level.copy()]
     start = 1
@@ -508,7 +504,7 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
             at = leave.argmax(axis=1)
             left = leave[np.arange(rows.size), at]
             rows, at, was = rows[left], at[left], k[left]
-            level[rows] = k = bisect(cum[was], window[rows, at], tmat[-1, was])
+            level[rows] = k = _bisect(cum[was], window[rows, at], tmat[-1, was])
             run_starts.append(rows * steps + start + at)
             run_levels.append(k)
             u, after = window[rows], at[:, None]
@@ -542,11 +538,8 @@ def _coarse_outcomes(
     for step in range(steps):
         relaxed = weights @ tmat.T
         masses = (relaxed @ indicator)[:, 0]
-        cum = np.cumsum(masses, axis=1)
-        outcome = np.minimum((cum <= uniforms[:, step, None]).sum(axis=1), n_bins - 1)
+        outcome = _bisect(np.cumsum(masses, axis=1), uniforms[:, step], masses[:, -1])
         mass = masses[np.arange(n_rows), outcome]
-        if not mass.all():
-            raise ZeroProbabilityError("a sampled outcome has zero probability")
         weights = np.where(level_bin == outcome[:, None, None], relaxed / mass[:, None, None], 0.0)
         outcomes[:, step] = outcome
     return outcomes
@@ -579,7 +572,8 @@ def run_ensemble(
     :data:`BLOCK_ROWS`, and no more than ``BLOCK_ROWS * VECTOR_STEPS``
     readouts per block unless one row is longer, so its working memory is
     bounded by the block, not by the ensemble.  The jump engine reads out
-    all its paths in one pass.
+    all its paths in one pass.  Both engines take any partition; the Lüders
+    engine has a faster scan for a fine one (:func:`_fine_outcomes`).
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
@@ -591,25 +585,24 @@ def run_ensemble(
     pop = _as_population(initial, truncation)
     level = _initial_level(pop)
     dtype = _outcome_dtype(partition.n_bins)
+    gen = build_generator(params, truncation)
     if engine == "gillespie":
-        if not partition.is_fine:
-            raise ValueError("the jump engine requires a fine partition")
         if level is None:
             raise ValueError("the jump engine needs a definite initial level")
+        ups, downs = gen.up.tolist() + [0.0], [0.0] + gen.down.tolist()
         jump_times: list[float] = []
         levels: list[int] = []
         path_levels: list[int] = []
         for rng in _streams(master_seed, first_index, n_traj):
-            times, path = _jump_path(params, schedule.horizon, level, truncation, rng)
+            times, path = _jump_path(ups, downs, schedule.horizon, level, rng)
             jump_times += times
             levels += path
             path_levels.append(len(path))
-        outcomes = _read_out(
-            jump_times, np.array(levels, dtype=dtype), path_levels, schedule.dt, schedule.steps
-        )
+        bins = partition.level_bin.astype(dtype)[levels]
+        outcomes = _read_out(jump_times, bins, path_levels, schedule.dt, schedule.steps)
     else:
         outcomes = np.empty((n_traj, schedule.steps), dtype=dtype)
-        tmat = transition_matrix(build_generator(params, truncation), schedule.dt)
+        tmat = transition_matrix(gen, schedule.dt)
         block_rows = _block_rows(schedule.steps)
         for start in range(0, n_traj, block_rows):
             block = outcomes[start:start + block_rows]

@@ -59,8 +59,9 @@ class SurvivalCurve:
         return np.sqrt(p * (1.0 - p) / self.total)
 
     @classmethod
-    def from_probabilities(cls, times, survival, total: float = 1e6) -> "SurvivalCurve":
-        """Wrap an exact survival law as a curve with nominal counts."""
+    def from_probabilities(cls, times, survival) -> "SurvivalCurve":
+        """Wrap an exact survival law as a curve of 1e6 nominal counts."""
+        total = 1e6
         survival = np.asarray(survival, dtype=float)
         return cls(np.asarray(times, dtype=float), survival * total, total)
 
@@ -158,12 +159,12 @@ def fit_level1_product(params: BathParams, dt: float, steps: int) -> FitResult:
 
 @dataclass(frozen=True, eq=False)
 class DwellStats:
-    """Run-length decomposition of a fine-partition ensemble, pooled over its
+    """Run-length decomposition of an ensemble's bin readouts, pooled over its
     trajectories.
 
     ``steps`` is the number of readouts pooled (trajectories times schedule
-    steps).  ``counts[n]`` is the number of outcomes equal to n (so the
-    per-level dwell times are ``counts*dt`` and sum exactly to the pooled
+    steps).  ``counts[n]`` is the number of outcomes equal to bin n (so the
+    per-bin dwell times are ``counts*dt`` and sum exactly to the pooled
     duration ``steps*dt``).  ``dwell_lengths[n]`` lists the maximal constant
     runs of n, row by row in record order, in units of dt; a run never spans
     two trajectories.  ``interior_dwell_lengths`` excludes the first and last
@@ -191,17 +192,15 @@ class DwellStats:
 
 
 def dwell_statistics(ensemble: Ensemble) -> DwellStats:
-    """Dwell-time statistics of an ensemble (fine partitions only), pooled
-    over its trajectories in one pass.
+    """Dwell-time statistics of an ensemble's bins, pooled over its
+    trajectories in one pass.
 
     Beyond one bool mask of the record (where each step differs from the
     one before), every array it allocates has one entry per run or per bin:
     ``counts`` is the run values weighted by the run lengths, not a count
     over the record.
     """
-    partition = ensemble.schedule.partition
-    if not partition.is_fine:
-        raise ValueError("dwell statistics require a fine partition")
+    n_bins = ensemble.schedule.partition.n_bins
     outcomes = ensemble.outcomes
     n_rows, width = outcomes.shape
     # flat index r * (width - 1) + c of the mask is step c + 1 of row r
@@ -212,21 +211,17 @@ def dwell_statistics(ensemble: Ensemble) -> DwellStats:
     row, col = np.divmod(starts, width)
     values = outcomes[row, col]
     interior_mask = (col != 0) & (col + lengths != width)
-    counts = np.bincount(values, weights=lengths, minlength=partition.n_bins).astype(np.int64)
-    dwell = tuple(lengths[values == n] for n in range(partition.n_bins))
-    interior = tuple(
-        lengths[interior_mask & (values == n)] for n in range(partition.n_bins)
-    )
+    counts = np.bincount(values, weights=lengths, minlength=n_bins).astype(np.int64)
+    dwell = tuple(lengths[values == n] for n in range(n_bins))
+    interior = tuple(lengths[interior_mask & (values == n)] for n in range(n_bins))
     return DwellStats(outcomes.size, ensemble.schedule.dt, counts, dwell, interior)
 
 
 def time_average(ensemble: Ensemble, n: int) -> float:
-    """Fraction of the ensemble's outcomes equal to level ``n`` -- the
-    discrete time average of the level-n occupation, pooled over its
+    """Fraction of the ensemble's outcomes equal to bin ``n`` -- the
+    discrete time average of the bin-n occupation, pooled over its
     trajectories.  Equals ``dwell_statistics(ensemble).fractions[n]``
     exactly."""
-    if not ensemble.schedule.partition.is_fine:
-        raise ValueError("time averages require a fine partition")
     return int(np.count_nonzero(ensemble.outcomes == n)) / ensemble.outcomes.size
 
 

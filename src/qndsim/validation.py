@@ -344,8 +344,8 @@ def _thermal_w1(rng, i) -> bool:
     return abs(w1 - nth) > 3.0 * nth**2
 
 
-def check_ac7(shared: _Shared, cases: int = 100) -> CriterionResult:
-    """Randomized-parameter invariant suite (seeded, >= 100 cases each).
+def check_ac7(shared: _Shared) -> CriterionResult:
+    """Randomized-parameter invariant suite (seeded, 100 cases each).
     Invariant j draws its cases, in order, from ``default_rng((seed, 71 + j))``;
     a case takes that generator and its index and returns its failure count."""
     invariants = (
@@ -359,7 +359,7 @@ def check_ac7(shared: _Shared, cases: int = 100) -> CriterionResult:
         ("renewal product identity (<= 1e-13 relative)", _renewal),
         ("thermal w_1 vs n_thermal bound (<= 3*n^2)", _thermal_w1),
     )
-    details, ok = [], True
+    details, ok, cases = [], True, 100
     for j, (label, case) in enumerate(invariants):
         rng = np.random.default_rng((shared.config.seed, 71 + j))
         fails = sum(int(case(rng, i)) for i in range(cases))

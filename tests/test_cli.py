@@ -129,6 +129,7 @@ class TestExitCodes:
             ("--gamma", "1e-320"),  # dt = gdt / gamma overflows
             ("--horizon", "1e300", "--gdt", "1e-10"),  # the step count overflows
             ("--config", "nan.json"),
+            ("--trunc", "1", "--gdt", "2e6", "--horizon", "2e6"),  # past the uniformization pass cap
         ],
     )
     def test_unrepresentable_value_is_exit_1(self, capsys, monkeypatch, tmp_path, flags):

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qndsim.core import bath_from_gamma, build_generator, mean_photon, pure_level, thermal_populations
+from qndsim.core import (
+    NORM_TOL,
+    BathParams,
+    bath_from_gamma,
+    build_generator,
+    mean_photon,
+    pure_level,
+    thermal_populations,
+)
 from qndsim.dynamics import mean_relaxation, propagate, transition_matrix, two_level_population
 
 PARAMS = bath_from_gamma(1.0, 0.1)
@@ -94,6 +102,19 @@ class TestPropagate:
             transition_matrix(gen, duration)
         with pytest.raises(ValueError, match="finite"):
             propagate(gen, pure_level(0, 3), duration)
+
+    def test_passes_are_capped_within_norm_tol(self):
+        # one pass per 128 mean uniformized events, each losing below about
+        # 1e-13 of a column's mass: 10 000 passes stay within NORM_TOL, and a
+        # longer duration is refused before any pass runs
+        gen = build_generator(BathParams(0.5, 2.0), 1)  # the fastest level leaves at rate 2
+        at_cap = 10_000 * 128.0 / 2.0
+        assert 1.0 - transition_matrix(gen, at_cap).sum(axis=0).min() <= NORM_TOL
+        past = np.nextafter(at_cap, math.inf)
+        with pytest.raises(ValueError, match="more than 10000 uniformization passes"):
+            transition_matrix(gen, past)
+        with pytest.raises(ValueError, match="more than 10000 uniformization passes"):
+            propagate(gen, pure_level(0, 1), past)
 
     def test_long_horizon_split(self):
         # durations long enough to force series splitting still relax to thermal

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -403,10 +404,21 @@ class TestFineEngineEdgesInNarrowWindows(TestFineEngineEdges):
 
 
 class TestGillespieEngine:
-    def test_requires_fine_partition(self):
-        part = ProjectorPartition(1, ((0, 1),))
-        with pytest.raises(ValueError):
-            run_ensemble(PARAMS, MeasurementSchedule(0.1, 5, part), 0, 1, 1, 0, engine="gillespie")
+    def test_coarse_partition_reads_out_the_bins_of_the_fine_paths(self):
+        params = bath_from_gamma(1.0, 0.5)
+        coarse = ProjectorPartition(10, ((0,), (1, 2), tuple(range(3, 11))))
+
+        def outcomes(partition, n_traj, first_index):
+            sched = MeasurementSchedule(0.3, 20, partition)
+            return run_ensemble(params, sched, 1, 10, n_traj, 7, "gillespie", first_index).outcomes
+
+        fine = outcomes(ProjectorPartition.fine(10), 40, 3)
+        got = outcomes(coarse, 40, 3)
+        assert got.dtype == fine.dtype
+        assert np.array_equal(got, coarse.level_bin[fine])
+        assert set(np.unique(got)) == {0, 1, 2}
+        split = np.concatenate((outcomes(coarse, 15, 3), outcomes(coarse, 25, 18)))
+        assert np.array_equal(got, split)
 
     def test_zero_emission_makes_ground_state_absorbing(self):
         params = BathParams(0.0, 1.1)
@@ -606,6 +618,34 @@ class TestZenoTimes:
             report = zeno_times(bath_from_gamma(1.3, nth))
             assert report.slowdown_0 > 1.0
             assert report.slowdown_1 > 1.0
+
+
+class TestExactBinMarginals:
+    """Each engine against the exact law of its readouts on a coarse partition."""
+
+    @pytest.mark.parametrize("engine", ["luders", "gillespie"])
+    def test_step_bin_frequencies_match_the_chain(self, engine):
+        # Readouts do not change the diagonal on average, so step m's bin
+        # frequencies estimate the bin sums of T^m p0 with T = expm(dt * Q).
+        # Each of the 20 steps x 3 bins is a normal-approximation z test, at a
+        # Sidak per-test level that makes the family-wise level 1e-3 (Sidak
+        # 1967: valid for correlated two-sided normal tests).
+        from scipy.linalg import expm
+
+        params, trunc, dt, steps, n_traj = bath_from_gamma(1.0, 0.5), 10, 0.3, 20, 20_000
+        partition = ProjectorPartition(trunc, ((0,), (1, 2), tuple(range(3, trunc + 1))))
+        sched = MeasurementSchedule(dt, steps, partition)
+        outcomes = run_ensemble(params, sched, 1, trunc, n_traj, 2024, engine=engine).outcomes
+        tmat = expm(dt * build_generator(params, trunc).rate_matrix())
+        weights, exact = pure_level(1, trunc).weights, []
+        for _ in range(steps):
+            weights = tmat @ weights
+            exact.append([weights[list(b)].sum() for b in partition.bins])
+        exact = np.array(exact)
+        freq = np.stack([(outcomes == j).mean(axis=0) for j in range(partition.n_bins)], axis=1)
+        z = np.abs(freq - exact) / np.sqrt(exact * (1.0 - exact) / n_traj)
+        per_test = 1.0 - (1.0 - 1e-3) ** (1.0 / z.size)
+        assert z.max() <= NormalDist().inv_cdf(1.0 - per_test / 2.0)
 
 
 class TestEnsemble:

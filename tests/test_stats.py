@@ -188,12 +188,17 @@ class TestDwellStatistics:
         assert peak < 8e6
         assert dwell.counts.dtype == np.int64 and dwell.counts.sum() == 4_000_000
 
-    def test_requires_fine_partition(self):
-        part = ProjectorPartition(1, ((0, 1),))
-        schedule = MeasurementSchedule(1.0, 3, part)
-        record = Ensemble(schedule, 0, np.zeros((1, 3), dtype=np.int16), 0, 0, "synthetic")
-        with pytest.raises(ValueError):
-            dwell_statistics(record)
+    def test_coarse_counts_sum_the_fine_counts_of_each_bin(self):
+        levels = np.random.default_rng(3).integers(0, 5, (6, 40)).astype(np.int16)
+        coarse = ProjectorPartition(4, ((0,), (1, 3), (2, 4)))
+        outcomes = coarse.level_bin[levels].astype(np.int16)
+        binned = Ensemble(MeasurementSchedule(0.5, 40, coarse), None, outcomes, 0, 0, "synthetic")
+        fine = dwell_statistics(make_ensemble(levels, dt=0.5, trunc=4))
+        dwell = dwell_statistics(binned)
+        assert dwell.counts.tolist() == [fine.counts[list(b)].sum() for b in coarse.bins]
+        assert [lengths.sum() for lengths in dwell.dwell_lengths] == dwell.counts.tolist()
+        for j in range(coarse.n_bins):
+            assert time_average(binned, j) == dwell.fractions[j]
 
 
 class TestTimeAverage:
