@@ -15,8 +15,9 @@ mean anything.  ``peak_mb`` is the ``tracemalloc`` peak of one more run
 Layers run at ``gamma = 1`` from level 0, at the settings in their entry
 (``null`` where one does not apply).  ``uniforms`` and ``fine_outcomes`` run
 in blocks cut as ``run_ensemble`` cuts them, one block's outcomes discarded
-before the next; ``jump_engine`` is ``run_ensemble`` with the Gillespie
-engine; ``transition_matrix`` is one build over ``gdt``;
+before the next; ``coarse_outcomes`` is the Lüders engine on the partition
+{0} | {1..trunc}, in one block; ``jump_engine`` is ``run_ensemble`` with
+the Gillespie engine; ``transition_matrix`` is one build over ``gdt``;
 ``ks_distance`` is AC5's test on level-0 interior dwells, and ``ks_import``
 its first call, which imports scipy (one untraced run, so no peak).
 ``--before`` takes this script's JSON from another revision (run with that
@@ -62,6 +63,8 @@ ENGINE_SHAPES = (
 )
 # (truncation, rows, steps) of survival at 25 000 trajectories
 SURVIVAL_SHAPE = (40, 25_000, 100)
+# (truncation, rows, steps) of the benchmark's coarse ensemble
+COARSE_SHAPE = (40, 200, 100)
 # AC4 and dwell --engine gillespie, then AC5
 JUMP_SHAPES = ((1, 1, 4_000_000), (40, 2_000, 1_000))
 DWELL_SHAPE = (1, 1, 4_000_000)
@@ -143,6 +146,13 @@ def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float):
     return scan
 
 
+def _coarse(trunc: int, n: int, steps: int):
+    tmat = dynamics.transition_matrix(build_generator(PARAMS, trunc), DT)
+    partition = ProjectorPartition(trunc, ((0,), tuple(range(1, trunc + 1))))
+    uniforms = protocol._uniforms(0, 0, n, steps)
+    return partial(protocol._coarse_outcomes, tmat, pure_level(0, trunc), partition, uniforms)
+
+
 def _ensemble(trunc: int, n: int, steps: int, engine: str = "luders", seed: int = 0):
     schedule = protocol.MeasurementSchedule(DT, steps, ProjectorPartition.fine(trunc))
     return lambda: protocol.run_ensemble(PARAMS, schedule, 0, trunc, n, seed, engine=engine)
@@ -170,6 +180,7 @@ def _layers(repeats: int) -> list[dict]:
     record = _ensemble(*DWELL_SHAPE, "gillespie")()
     cases = [("uniforms", (None, n, s, None, None), _uniforms(n, s)) for n, s in UNIFORM_SHAPES]
     cases += [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
+    cases.append(("coarse_outcomes", COARSE_SHAPE + DEFAULTS, _coarse(*COARSE_SHAPE)))
     cases += [("jump_engine", shape + DEFAULTS, _ensemble(*shape, "gillespie")) for shape in JUMP_SHAPES]
     cases += [
         ("estimate_survival", SURVIVAL_SHAPE + DEFAULTS, lambda: stats.estimate_survival(survival, 0)),

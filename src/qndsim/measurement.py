@@ -4,11 +4,14 @@ level set, outcome probabilities, and the Lüders state update.
 A measurement is a partition of the levels 0..N into bins; each bin is one
 projector of a decomposition of unity.  Acting on diagonal states with these
 block projectors keeps the state diagonal, so the update reduces to masking
-and renormalizing the weights.
+and renormalizing rows of weights: :func:`bin_masses` and :func:`collapse` act
+on a stack of rows (the coarse engine's state), and :func:`outcome_probabilities`
+and :func:`luders_collapse` are their one-row case.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,10 @@ class ProjectorPartition:
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
-        bins = tuple(tuple(sorted(int(i) for i in b)) for b in self.bins)
+        try:
+            bins = tuple(tuple(sorted(map(operator.index, b))) for b in self.bins)
+        except TypeError:
+            raise ValueError("bins must hold integer levels") from None
         if not bins or any(len(b) == 0 for b in bins):
             raise ValueError("need at least one bin and no empty bins")
         flat = [i for b in bins for i in b]
@@ -65,34 +71,48 @@ def _check_truncation(pop: PopulationVector, partition: ProjectorPartition) -> N
         )
 
 
+def _check_bin(partition: ProjectorPartition, j: int) -> None:
+    if not 0 <= j < partition.n_bins:
+        raise ValueError(f"bin index {j} outside 0..{partition.n_bins - 1}")
+
+
+def bin_masses(weights: np.ndarray, partition: ProjectorPartition) -> np.ndarray:
+    """``(rows, n_bins)`` bin masses of ``(rows, L)`` weights, by one stacked
+    product per row with the 0/1 level-to-bin indicator (so a row's bits do
+    not depend on its batch as they would in a 2-D gemm)."""
+    indicator = (partition.level_bin[:, None] == np.arange(partition.n_bins)).astype(float)
+    return (weights[:, None] @ indicator)[:, 0]
+
+
+def collapse(
+    weights: np.ndarray, partition: ProjectorPartition, outcome: np.ndarray, mass: np.ndarray
+) -> np.ndarray:
+    """Lüders update of ``(rows, L)`` weights on observing bin ``outcome[r]``
+    of mass ``mass[r]``: a row already supported inside its bin comes back
+    unchanged, bit for bit (repeating the measurement cannot disturb it);
+    every other row is zeroed outside its bin and divided by its mass."""
+    kept = weights * (partition.level_bin == outcome[:, None])
+    settled = (kept == weights).all(axis=1)
+    return kept / np.where(settled, 1.0, mass)[:, None]
+
+
 def outcome_probabilities(pop: PopulationVector, partition: ProjectorPartition) -> np.ndarray:
-    """Probability of each bin: the summed weight it covers."""
+    """Probability of each bin: the summed weight it covers
+    (:func:`bin_masses` of one row)."""
     _check_truncation(pop, partition)
-    w = pop.weights
-    return np.array([w[list(b)].sum() for b in partition.bins])
+    return bin_masses(pop.weights[None], partition)[0]
 
 
 def luders_collapse(pop: PopulationVector, partition: ProjectorPartition, j: int) -> PopulationVector:
-    """State after observing bin ``j``: weights outside the bin are zeroed and
-    the rest renormalized by the bin probability.
-
-    A state already supported entirely inside the bin is returned unchanged
-    (repeating the measurement cannot disturb it); an outcome of zero
-    probability raises :class:`ZeroProbabilityError` rather than fabricating
-    a state.
-    """
+    """State after observing bin ``j``, by :func:`collapse` of one row; a state
+    already supported inside the bin is returned itself, and an outcome of
+    zero probability raises :class:`ZeroProbabilityError`."""
     _check_truncation(pop, partition)
-    if not 0 <= j < partition.n_bins:
-        raise ValueError(f"bin index {j} outside 0..{partition.n_bins - 1}")
-    w = pop.weights
-    inside = np.asarray(partition.bins[j], dtype=np.intp)
-    outside_mask = np.ones(w.size, dtype=bool)
-    outside_mask[inside] = False
-    if not w[outside_mask].any():
-        return pop
-    mass = w[inside].sum()
-    if mass <= 0.0:
+    _check_bin(partition, j)
+    w = pop.weights[None]
+    mass = bin_masses(w, partition)[:, j]
+    if mass[0] <= 0.0:
         raise ZeroProbabilityError(f"outcome {j} has zero probability")
-    out = np.zeros_like(w)
-    out[inside] = w[inside] / mass
-    return PopulationVector(out)
+    out = collapse(w, partition, np.array([j]), mass)[0]
+    # collapse changes every row with weight outside the bin, and no other
+    return pop if np.array_equal(out, pop.weights) else PopulationVector(out)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import BathParams, PopulationVector, build_generator, pure_level
 from .dynamics import transition_matrix, two_level_population
-from .measurement import ProjectorPartition, ZeroProbabilityError
+from .measurement import ProjectorPartition, ZeroProbabilityError, bin_masses, collapse
 
 # Documented stream-derivation mixer; echoed in CLI output metadata.
 SEED_DERIVATION = "numpy SeedSequence((master_seed, trajectory_index)) -> PCG64"
@@ -522,25 +522,23 @@ def _coarse_outcomes(
     """Outcomes of the measurement loop under any partition, one row per row
     of ``uniforms``.
 
-    The state is an ``(n_rows, 1, L)`` stack of weight rows.  Each step
-    relaxes and bins it by stacked products with ``tmat.T`` and the 0/1
-    level-to-bin indicator (one identical BLAS call per row, so a row's bits
-    do not depend on its batch as they would in a 2-D gemm), samples a bin
-    by right-sided bisection of the step's uniform into the cumulative bin
-    masses, and collapses by mask and divide.
+    The state is an ``(n_rows, L)`` stack of weight rows.  Each step relaxes
+    it by a stacked product with ``tmat.T`` (one identical BLAS call per row,
+    so a row's bits do not depend on its batch as they would in a 2-D gemm),
+    takes its :func:`~qndsim.measurement.bin_masses`, samples a bin by
+    right-sided bisection of the step's uniform into their cumulative sums,
+    and applies the Lüders update :func:`~qndsim.measurement.collapse`: a row
+    already inside its bin stays as it is, every other one is zeroed outside
+    the bin and divided by the bin's mass.
     """
     n_rows, steps = uniforms.shape
-    n_levels, n_bins = tmat.shape[0], partition.n_bins
-    level_bin = partition.level_bin
-    indicator = (level_bin[:, None] == np.arange(n_bins)).astype(float)
-    weights = np.broadcast_to(pop.weights, (n_rows, 1, n_levels))
-    outcomes = np.empty((n_rows, steps), dtype=_outcome_dtype(n_bins))
+    weights = np.broadcast_to(pop.weights, (n_rows, pop.weights.size))
+    outcomes = np.empty((n_rows, steps), dtype=_outcome_dtype(partition.n_bins))
     for step in range(steps):
-        relaxed = weights @ tmat.T
-        masses = (relaxed @ indicator)[:, 0]
+        relaxed = (weights[:, None] @ tmat.T)[:, 0]
+        masses = bin_masses(relaxed, partition)
         outcome = _bisect(np.cumsum(masses, axis=1), uniforms[:, step], masses[:, -1])
-        mass = masses[np.arange(n_rows), outcome]
-        weights = np.where(level_bin == outcome[:, None, None], relaxed / mass[:, None, None], 0.0)
+        weights = collapse(relaxed, partition, outcome, masses[np.arange(n_rows), outcome])
         outcomes[:, step] = outcome
     return outcomes
 

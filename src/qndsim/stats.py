@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BathParams
-from .measurement import ProjectorPartition
+from .measurement import ProjectorPartition, _check_bin
 from .protocol import Ensemble, MeasurementSchedule, run_ensemble, survival_product
 
 
@@ -73,6 +73,7 @@ def estimate_survival(ensemble: Ensemble, k: int) -> SurvivalCurve:
     The curve estimates the repeated-measurement survival law only when the
     trajectories start pure in bin k; that is the caller's responsibility.
     """
+    _check_bin(ensemble.schedule.partition, k)
     outcomes = ensemble.outcomes
     n_traj, steps = outcomes.shape
     # each row survives exactly the steps before its first miss
@@ -222,6 +223,7 @@ def time_average(ensemble: Ensemble, n: int) -> float:
     discrete time average of the bin-n occupation, pooled over its
     trajectories.  Equals ``dwell_statistics(ensemble).fractions[n]``
     exactly."""
+    _check_bin(ensemble.schedule.partition, n)
     return int(np.count_nonzero(ensemble.outcomes == n)) / ensemble.outcomes.size
 
 

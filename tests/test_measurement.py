@@ -7,11 +7,18 @@ from qndsim.core import PopulationVector, pure_level
 from qndsim.measurement import (
     ProjectorPartition,
     ZeroProbabilityError,
+    bin_masses,
+    collapse,
     luders_collapse,
     outcome_probabilities,
 )
 
 from oracles import sample_outcome
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def pop(*weights):
@@ -51,6 +58,8 @@ class TestPartition:
             ProjectorPartition(2, ((0, 1),))
         with pytest.raises(ValueError):
             ProjectorPartition(2, ((0, 1, 2), ()))
+        with pytest.raises(ValueError):
+            ProjectorPartition(2, ((0,), (1.7, 2)))
 
 
 class TestOutcomeProbabilities:
@@ -128,6 +137,27 @@ class TestLudersCollapse:
             supported_inside = not state.weights[~inside].any()
             unchanged = luders_collapse(state, part, j) is state
             assert unchanged == supported_inside
+
+
+class TestStackedUpdate:
+    @given(populations_and_partitions(), st.integers(0, 10))
+    @settings(max_examples=100, derandomize=True)
+    def test_each_row_is_the_one_row_update(self, case, j_raw):
+        # the engine's stacked update gives each row, bit for bit, what
+        # outcome_probabilities and luders_collapse give that row alone;
+        # the last row is already supported inside its bin
+        state, part = case
+        j = j_raw % part.n_bins
+        inside = luders_collapse(state, part, j)
+        pops = [state, state, inside]
+        outcome = np.array([j, (j + 1) % part.n_bins, j])
+        weights = np.stack([p.weights for p in pops])
+        masses = bin_masses(weights, part)
+        collapsed = collapse(weights, part, outcome, masses[np.arange(3), outcome])
+        for row, (p, k) in enumerate(zip(pops, outcome)):
+            assert_same_bits(masses[row], outcome_probabilities(p, part))
+            assert_same_bits(collapsed[row], luders_collapse(p, part, int(k)).weights)
+        assert_same_bits(collapsed[2], inside.weights)
 
 
 class TestSampleOutcome:

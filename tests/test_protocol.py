@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qndsim import protocol
 from qndsim.core import BathParams, bath_from_gamma, build_generator, pure_level, thermal_populations
 from qndsim.dynamics import transition_matrix, two_level_population
-from qndsim.measurement import ProjectorPartition, ZeroProbabilityError
+from qndsim.measurement import ProjectorPartition, ZeroProbabilityError, bin_masses
 from qndsim.protocol import (
     MeasurementSchedule,
     ZenoDomainWarning,
@@ -269,14 +269,16 @@ class TestLudersEngine:
         # (rows, 1, L) product gives each row the bits it gets alone
         rng = np.random.default_rng(n_levels)
         tmat = transition_matrix(build_generator(PARAMS, n_levels - 1), 0.3)
-        indicator = (np.arange(n_levels)[:, None] % 3 == np.arange(3)).astype(float)
+        partition = ProjectorPartition(
+            n_levels - 1, tuple(tuple(range(j, n_levels, 3)) for j in range(min(3, n_levels)))
+        )
         weights = rng.random((300, 1, n_levels))
         relaxed = weights @ tmat.T
-        masses = relaxed @ indicator
+        masses = bin_masses(relaxed[:, 0], partition)
         for r in (0, 1, 150, 299):
             alone = weights[r:r + 1].copy() @ tmat.T
-            assert np.array_equal(alone.view(np.uint64), relaxed[r:r + 1].view(np.uint64))
-            assert np.array_equal((alone @ indicator).view(np.uint64), masses[r:r + 1].view(np.uint64))
+            assert_same_bits(alone, relaxed[r:r + 1])
+            assert_same_bits(bin_masses(alone[:, 0], partition), masses[r:r + 1])
 
     @pytest.mark.parametrize(
         "partition", [ProjectorPartition.fine(3), coarse_partition(3)], ids=["fine", "coarse"]

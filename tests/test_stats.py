@@ -78,6 +78,11 @@ class TestEstimateSurvival:
         with pytest.raises(ValueError):
             Ensemble(schedule, 0, np.zeros((2, 3), dtype=np.int16), 0, 0, "synthetic")
 
+    @pytest.mark.parametrize("k", [-1, 3, 7])
+    def test_rejects_a_bin_outside_the_partition(self, k):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            estimate_survival(make_ensemble([[0, 1, 2]] * 2, trunc=2), k)
+
     @settings(max_examples=200, deadline=None)
     @given(outcomes=outcome_matrices(), k=st.integers(0, 4))
     @example(outcomes=np.array([[0, 1], [2, 3]], dtype=np.int16), k=4)  # k absent
@@ -207,6 +212,11 @@ class TestTimeAverage:
 
     def test_alternating_record(self):
         assert time_average(make_ensemble([0, 1, 0, 1]), 1) == 0.5
+
+    @pytest.mark.parametrize("n", [-1, 3, 9])
+    def test_rejects_a_bin_outside_the_partition(self, n):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            time_average(make_ensemble([0, 1, 2, 1], trunc=2), n)
 
     def test_equals_dwell_fraction_exactly(self):
         for outcomes in ([0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0], [[0, 1, 1], [1, 1, 0], [0, 0, 0]]):
