@@ -14,10 +14,12 @@ mean anything.  ``peak_mb`` is the ``tracemalloc`` peak of one more run
 (numpy reports its buffers to ``tracemalloc``), in 1e6 bytes.
 Layers run at ``gamma = 1`` from level 0, at the settings in their entry
 (``null`` where one does not apply).  ``uniforms`` and ``fine_outcomes`` run
-in blocks cut as ``run_ensemble`` cuts them, one block's outcomes discarded
+in blocks cut as ``run_ensemble`` cuts them, one block's runs discarded
 before the next; ``coarse_outcomes`` is the Lüders engine on the partition
 {0} | {1..trunc}, in one block; ``jump_engine`` is ``run_ensemble`` with
-the Gillespie engine; ``transition_matrix`` is one build over ``gdt``;
+the Gillespie engine; ``record`` is ``protocol._runs``, the normalizer that
+every ensemble's runs pass through, on the runs that ``estimate_survival``
+and ``dwell_statistics`` read; ``transition_matrix`` is one build over ``gdt``;
 ``ks_distance`` is AC5's test on level-0 interior dwells, and ``ks_import``
 its first call, which imports scipy (one untraced run, so no peak).
 ``--before`` takes this script's JSON from another revision (run with that
@@ -182,6 +184,10 @@ def _layers(repeats: int) -> list[dict]:
     cases += [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
     cases.append(("coarse_outcomes", COARSE_SHAPE + DEFAULTS, _coarse(*COARSE_SHAPE)))
     cases += [("jump_engine", shape + DEFAULTS, _ensemble(*shape, "gillespie")) for shape in JUMP_SHAPES]
+    cases += [
+        ("record", shape + DEFAULTS, partial(protocol._runs, e.starts, e.bins, e.n_traj, e.schedule.steps))
+        for shape, e in ((SURVIVAL_SHAPE, survival), (DWELL_SHAPE, record))
+    ]
     cases += [
         ("estimate_survival", SURVIVAL_SHAPE + DEFAULTS, lambda: stats.estimate_survival(survival, 0)),
         ("dwell_statistics", DWELL_SHAPE + DEFAULTS, lambda: stats.dwell_statistics(record)),

@@ -72,8 +72,14 @@ def _check_truncation(pop: PopulationVector, partition: ProjectorPartition) -> N
 
 
 def _check_bin(partition: ProjectorPartition, j: int) -> None:
-    if not 0 <= j < partition.n_bins:
-        raise ValueError(f"bin index {j} outside 0..{partition.n_bins - 1}")
+    """Raise ValueError unless ``j`` is a bin index: an integer, as
+    ``operator.index`` takes the partition's levels, in range."""
+    try:
+        valid = 0 <= operator.index(j) < partition.n_bins
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"bin index {j!r} outside 0..{partition.n_bins - 1}")
 
 
 def bin_masses(weights: np.ndarray, partition: ProjectorPartition) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,29 +71,55 @@ class MeasurementSchedule:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Readouts of trajectories ``first_index .. first_index + n_traj - 1``:
-    row r of ``outcomes`` holds trajectory ``first_index + r``'s bin indices
-    at times dt, 2*dt, ..., steps*dt."""
+    """Readouts of trajectories ``first_index + r``, ``r < n_traj``, at dt, ...,
+    steps*dt, as maximal runs (:func:`_runs`): bin ``bins[i]`` for ``lengths[i]``
+    readouts from flat readout ``starts[i] = r * steps + step`` of row r."""
 
     schedule: MeasurementSchedule
     initial_level: int | None
-    outcomes: np.ndarray
+    starts: np.ndarray
+    bins: np.ndarray
+    n_traj: int
     master_seed: int
     first_index: int
     engine: str
 
     def __post_init__(self):
-        out = np.asarray(self.outcomes)
-        if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] != self.schedule.steps:
-            raise ValueError("outcomes must have one row per trajectory and one column per step")
-        if out.min() < 0 or out.max() >= self.schedule.partition.n_bins:
+        n_bins = self.schedule.partition.n_bins
+        starts, bins = _runs(self.starts, self.bins, self.n_traj, self.schedule.steps)
+        if bins.min() < 0 or bins.max() >= n_bins:
             raise ValueError("outcome outside the partition's bin range")
-        out.setflags(write=False)
-        object.__setattr__(self, "outcomes", out)
+        for name, arr in (("starts", starts), ("bins", bins.astype(_outcome_dtype(n_bins), copy=False))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
-    def n_traj(self) -> int:
-        return self.outcomes.shape[0]
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.starts, append=self.n_traj * self.schedule.steps)
+
+    @cached_property
+    def outcomes(self) -> np.ndarray:
+        """Read-only ``(n_traj, steps)`` bin indices: the runs expanded once."""
+        out = np.repeat(self.bins, self.lengths).reshape(self.n_traj, self.schedule.steps)
+        out.setflags(write=False)
+        return out
+
+
+def _runs(starts, bins, n_rows: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal runs of ``n_rows`` rows of ``steps`` readouts, from runs in
+    start order (see :class:`Ensemble`): a run that holds no readout is
+    dropped, and one in the bin of the run before it in its row joins that
+    run.  Every row's first readout must start a run."""
+    starts, bins = np.asarray(starts, dtype=np.intp), np.asarray(bins)
+    lengths = np.diff(starts, append=n_rows * steps)
+    if n_rows < 1 or bins.shape != starts.shape or starts[:1].tolist() != [0] or lengths.min() < 0:
+        raise ValueError("runs need a bin per start, and starts ascending from 0 to the record's end")
+    starts, bins = starts[lengths > 0], bins[lengths > 0]
+    keep = starts % steps == 0
+    if np.count_nonzero(keep) != n_rows:
+        raise ValueError("every row's first readout must start a run")
+    keep[1:] |= bins[1:] != bins[:-1]
+    return starts[keep], bins[keep]
 
 
 @dataclass(frozen=True)
@@ -369,29 +396,26 @@ def _jump_path(ups: list, downs: list, horizon: float, level: int, rng) -> tuple
     return jump_times, levels
 
 
-def _read_out(jump_times, levels: np.ndarray, path_levels, dt: float, steps: int) -> np.ndarray:
-    """Paths sampled at ``dt * (i + 1)``, ``i < steps``, as one row each.
+def _read_out(jump_times, levels: np.ndarray, path_levels, dt: float, steps: int):
+    """Runs of paths sampled at ``dt * (i + 1)``, ``i < steps``, one row each.
 
     Path r is the next ``path_levels[r]`` entries of ``levels`` (its initial
     bin, then its bin after each jump), and ``jump_times`` holds the
-    jumps of all paths in the same order, one fewer per path.  A jump's
-    first sample number, the least k with ``dt * k >= t``, is
+    jumps of all paths in the same order, one fewer per path.  A jump's run
+    starts at its first sample number, the least k with ``dt * k >= t``:
     ``ceil(t / dt)`` corrected once each way with that same float product
-    (enough while ``t / dt < 2**51``); a jump past the last sample changes
-    none.  The runs between jumps then fill all rows in one ``np.repeat``.
+    (enough while ``t / dt < 2**51``).  :func:`_runs` drops the runs of jumps
+    past the last sample and of jumps followed by another before a sample.
     """
-    path_levels = np.asarray(path_levels, dtype=np.intp)
     times = np.asarray(jump_times, dtype=float)
     k = np.ceil(times / dt)
     k += dt * k < times
     k -= dt * (k - 1) >= times
-    first = np.cumsum(path_levels) - path_levels  # each path's initial level
-    jump = np.ones(levels.size, dtype=bool)
-    jump[first] = False
-    starts = np.repeat(np.arange(path_levels.size) * steps, path_levels)
-    starts[jump] += np.clip(k - 1, 0, steps).astype(np.intp)
-    lengths = np.diff(np.append(starts, path_levels.size * steps))
-    return np.repeat(levels, lengths).reshape(path_levels.size, steps)
+    head = np.zeros(levels.size, dtype=bool)
+    head[np.cumsum(path_levels) - path_levels] = True  # each path's initial level
+    starts = (np.cumsum(head) - 1) * steps  # each entry's row * steps
+    starts[~head] += np.clip(k - 1, 0, steps).astype(np.intp)
+    return starts, levels
 
 
 # Sampling intervals gamma*dt of the quasicontinuity sweep (zeno, AC6).
@@ -463,9 +487,9 @@ def _bisect(cum: np.ndarray, u: np.ndarray, top_mass: np.ndarray) -> np.ndarray:
     return np.minimum(count, n_outcomes - 1)
 
 
-def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray) -> np.ndarray:
-    """Outcomes of the measurement loop under a fine partition, one row per
-    row of ``uniforms``.
+def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray):
+    """Maximal runs (:class:`Ensemble`) of the measurement loop under a fine
+    partition, one row per row of ``uniforms``.
 
     A fine collapse leaves a pure level k, and the next outcome is the
     right-sided bisection of the step's uniform into column k's cumulative
@@ -478,7 +502,7 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     leave, and only those rows are compared again, with their new level, past
     that column, until no row leaves; the levels carry into the next window.  A
     row that never leaves (most rows, when readouts are frequent) costs one
-    interval test per readout; the runs expand into outcomes at the end.
+    interval test per readout, and each leave starts a run.
     """
     n_rows, steps = uniforms.shape
     n_levels = tmat.shape[0]
@@ -511,16 +535,14 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
         start += width
     starts = np.concatenate(run_starts)
     order = np.argsort(starts)
-    lengths = np.diff(np.append(starts[order], n_rows * steps))
-    levels = np.concatenate(run_levels)[order].astype(_outcome_dtype(n_levels))
-    return np.repeat(levels, lengths).reshape(n_rows, steps)
+    return starts[order], np.concatenate(run_levels)[order]
 
 
 def _coarse_outcomes(
     tmat: np.ndarray, pop: PopulationVector, partition: ProjectorPartition, uniforms: np.ndarray
-) -> np.ndarray:
-    """Outcomes of the measurement loop under any partition, one row per row
-    of ``uniforms``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs (:class:`Ensemble`) of the measurement loop under any
+    partition, one row per row of ``uniforms``.
 
     The state is an ``(n_rows, L)`` stack of weight rows.  Each step relaxes
     it by a stacked product with ``tmat.T`` (one identical BLAS call per row,
@@ -540,7 +562,7 @@ def _coarse_outcomes(
         outcome = _bisect(np.cumsum(masses, axis=1), uniforms[:, step], masses[:, -1])
         weights = collapse(relaxed, partition, outcome, masses[np.arange(n_rows), outcome])
         outcomes[:, step] = outcome
-    return outcomes
+    return _runs(np.arange(outcomes.size), outcomes.ravel(), n_rows, steps)
 
 
 def _block_rows(steps: int) -> int:
@@ -582,7 +604,6 @@ def run_ensemble(
         raise ValueError("partition truncation mismatch")
     pop = _as_population(initial, truncation)
     level = _initial_level(pop)
-    dtype = _outcome_dtype(partition.n_bins)
     gen = build_generator(params, truncation)
     if engine == "gillespie":
         if level is None:
@@ -596,18 +617,18 @@ def run_ensemble(
             jump_times += times
             levels += path
             path_levels.append(len(path))
-        bins = partition.level_bin.astype(dtype)[levels]
-        outcomes = _read_out(jump_times, bins, path_levels, schedule.dt, schedule.steps)
+        starts, bins = _read_out(jump_times, partition.level_bin[levels], path_levels, schedule.dt, schedule.steps)
     else:
-        outcomes = np.empty((n_traj, schedule.steps), dtype=dtype)
         tmat = transition_matrix(gen, schedule.dt)
-        block_rows = _block_rows(schedule.steps)
+        block_rows, steps = _block_rows(schedule.steps), schedule.steps
+        runs = []
         for start in range(0, n_traj, block_rows):
-            block = outcomes[start:start + block_rows]
-            uniforms = _uniforms(master_seed, first_index + start, len(block), schedule.steps)
+            uniforms = _uniforms(master_seed, first_index + start, min(block_rows, n_traj - start), steps)
             if partition.is_fine:
-                block[:] = _fine_outcomes(tmat, pop, uniforms)
+                block = _fine_outcomes(tmat, pop, uniforms)
             else:
-                block[:] = _coarse_outcomes(tmat, pop, partition, uniforms)
+                block = _coarse_outcomes(tmat, pop, partition, uniforms)
             del uniforms  # else it lives on while the next block is drawn
-    return Ensemble(schedule, level, outcomes, master_seed, first_index, engine)
+            runs.append((block[0] + start * steps, block[1]))
+        starts, bins = map(np.concatenate, zip(*runs))
+    return Ensemble(schedule, level, starts, bins, n_traj, master_seed, first_index, engine)

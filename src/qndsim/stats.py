@@ -68,20 +68,17 @@ class SurvivalCurve:
 
 def estimate_survival(ensemble: Ensemble, k: int) -> SurvivalCurve:
     """Empirical survival in bin ``k``: a trajectory survives step i if its
-    first i outcomes all equal k.
+    first i outcomes all equal k, that is while its first run lasts, if in k.
 
     The curve estimates the repeated-measurement survival law only when the
     trajectories start pure in bin k; that is the caller's responsibility.
     """
     _check_bin(ensemble.schedule.partition, k)
-    outcomes = ensemble.outcomes
-    n_traj, steps = outcomes.shape
-    # each row survives exactly the steps before its first miss
-    miss = outcomes != k
-    first = miss.argmax(axis=1)
-    first[~miss[np.arange(n_traj), first]] = steps
+    steps = ensemble.schedule.steps
+    heads = np.flatnonzero(ensemble.starts % steps == 0)  # each row's first run
+    first = np.where(ensemble.bins[heads] == k, ensemble.lengths[heads], 0)
     lost = np.cumsum(np.bincount(first, minlength=steps + 1)[:-1])
-    survivors = (n_traj - np.concatenate(([0], lost))).astype(float)
+    survivors = (ensemble.n_traj - np.concatenate(([0], lost))).astype(float)
     times = ensemble.schedule.dt * np.arange(steps + 1)
     return SurvivalCurve(times, survivors, float(ensemble.n_traj))
 
@@ -194,28 +191,15 @@ class DwellStats:
 
 def dwell_statistics(ensemble: Ensemble) -> DwellStats:
     """Dwell-time statistics of an ensemble's bins, pooled over its
-    trajectories in one pass.
-
-    Beyond one bool mask of the record (where each step differs from the
-    one before), every array it allocates has one entry per run or per bin:
-    ``counts`` is the run values weighted by the run lengths, not a count
-    over the record.
-    """
-    n_bins = ensemble.schedule.partition.n_bins
-    outcomes = ensemble.outcomes
-    n_rows, width = outcomes.shape
-    # flat index r * (width - 1) + c of the mask is step c + 1 of row r
-    changes = np.flatnonzero(outcomes[:, 1:] != outcomes[:, :-1])
-    changes += changes // max(width - 1, 1) + 1
-    starts = np.sort(np.concatenate((np.arange(n_rows) * width, changes)))
-    lengths = np.diff(np.append(starts, outcomes.size))
-    row, col = np.divmod(starts, width)
-    values = outcomes[row, col]
-    interior_mask = (col != 0) & (col + lengths != width)
+    trajectories, from its runs: every array it allocates has one entry per
+    run or per bin."""
+    n_bins, steps = ensemble.schedule.partition.n_bins, ensemble.schedule.steps
+    values, lengths, col = ensemble.bins, ensemble.lengths, ensemble.starts % steps
+    interior_mask = (col != 0) & (col + lengths != steps)
     counts = np.bincount(values, weights=lengths, minlength=n_bins).astype(np.int64)
     dwell = tuple(lengths[values == n] for n in range(n_bins))
     interior = tuple(lengths[interior_mask & (values == n)] for n in range(n_bins))
-    return DwellStats(outcomes.size, ensemble.schedule.dt, counts, dwell, interior)
+    return DwellStats(ensemble.n_traj * steps, ensemble.schedule.dt, counts, dwell, interior)
 
 
 def time_average(ensemble: Ensemble, n: int) -> float:
@@ -224,7 +208,8 @@ def time_average(ensemble: Ensemble, n: int) -> float:
     trajectories.  Equals ``dwell_statistics(ensemble).fractions[n]``
     exactly."""
     _check_bin(ensemble.schedule.partition, n)
-    return int(np.count_nonzero(ensemble.outcomes == n)) / ensemble.outcomes.size
+    held = int(ensemble.lengths[ensemble.bins == n].sum())  # readouts in its runs
+    return held / (ensemble.n_traj * ensemble.schedule.steps)
 
 
 def ks_distance(a, b) -> tuple[float, float]:

@@ -63,3 +63,33 @@ def reference_jump_record(params, schedule, level, truncation, seed_pair):
         levels.append(level)
     sample_times = schedule.dt * np.arange(1, schedule.steps + 1)
     return np.asarray(levels)[np.searchsorted(jump_times, sample_times, side="right")]
+
+
+def reference_survivors(outcomes, k):
+    """Survivor counts in bin ``k`` at steps 0..steps of a dense ``(n_traj,
+    steps)`` record: each row survives exactly the steps before its first miss."""
+    n_traj, steps = outcomes.shape
+    miss = outcomes != k
+    first = miss.argmax(axis=1)
+    first[~miss[np.arange(n_traj), first]] = steps
+    lost = np.cumsum(np.bincount(first, minlength=steps + 1)[:-1])
+    return (n_traj - np.concatenate(([0], lost))).astype(float)
+
+
+def reference_dwell(outcomes, n_bins):
+    """``(counts, dwell_lengths, interior_dwell_lengths)`` of a dense record,
+    as ``DwellStats`` holds them, from a mask of the steps that differ from
+    the one before."""
+    n_rows, width = outcomes.shape
+    # flat index r * (width - 1) + c of the mask is step c + 1 of row r
+    changes = np.flatnonzero(outcomes[:, 1:] != outcomes[:, :-1])
+    changes += changes // max(width - 1, 1) + 1
+    starts = np.sort(np.concatenate((np.arange(n_rows) * width, changes)))
+    lengths = np.diff(np.append(starts, outcomes.size))
+    row, col = np.divmod(starts, width)
+    values = outcomes[row, col]
+    interior_mask = (col != 0) & (col + lengths != width)
+    counts = np.bincount(values, weights=lengths, minlength=n_bins).astype(np.int64)
+    dwell = tuple(lengths[values == n] for n in range(n_bins))
+    interior = tuple(lengths[interior_mask & (values == n)] for n in range(n_bins))
+    return counts, dwell, interior

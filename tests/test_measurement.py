@@ -107,6 +107,11 @@ class TestLudersCollapse:
         with pytest.raises(ZeroProbabilityError):
             luders_collapse(pure_level(0, 1), ProjectorPartition.fine(1), 1)
 
+    @pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
+    def test_rejects_a_bin_outside_the_partition(self, j):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            luders_collapse(pop(0.2, 0.3, 0.5), ProjectorPartition.fine(2), j)
+
     @given(populations_and_partitions(), st.integers(0, 10))
     @settings(max_examples=100, derandomize=True)
     def test_idempotence_exact(self, case, j_raw):

@@ -492,9 +492,10 @@ def searchsorted_readout(jump_times, levels, dt, steps):
 
 
 def read_out(jump_times, levels, dt, steps):
-    out = protocol._read_out(jump_times.tolist(), levels, [levels.size], dt, steps)
-    assert out.shape == (1, steps)
-    return out[0]
+    """One path's readout, from its runs made maximal and expanded."""
+    runs = protocol._read_out(jump_times.tolist(), levels, [levels.size], dt, steps)
+    starts, bins = protocol._runs(*runs, 1, steps)
+    return np.repeat(bins, np.diff(starts, append=steps))
 
 
 class TestReadOut:
@@ -538,6 +539,22 @@ class TestReadOut:
     def test_no_jumps_holds_the_initial_level(self):
         got = read_out(np.array([]), np.array([3], dtype=np.int16), 0.1, 5)
         assert got.tolist() == [3] * 5 and got.dtype == np.int16
+
+    def test_two_jumps_in_one_interval_leave_no_run(self):
+        # 0 -> 1 -> 0 between the samples at 0.1 and 0.2: level 1 is never read
+        # out, and the runs of 0 on either side of it are one run
+        jumps, levels = np.array([0.13, 0.17]), np.array([0, 1, 0], dtype=np.int16)
+        runs = protocol._read_out(jumps.tolist(), levels, [3], 0.1, 5)
+        assert protocol._runs(*runs, 1, 5)[0].tolist() == [0]
+        assert np.array_equal(read_out(jumps, levels, 0.1, 5), searchsorted_readout(jumps, levels, 0.1, 5))
+
+    def test_a_jump_inside_a_coarse_bin_joins_its_run(self):
+        # levels 0 -> 1 -> 2 read out as bins 0, 1, 1 of {0} | {1, 2}, in the
+        # second of two paths: one run of bin 1 from the first jump's sample on
+        bins = ProjectorPartition(2, ((0,), (1, 2))).level_bin[[0, 0, 1, 2]]
+        runs = protocol._read_out([0.25, 0.35], bins, [1, 3], 0.1, 5)
+        starts, got = protocol._runs(*runs, 2, 5)
+        assert starts.tolist() == [0, 5, 7] and got.tolist() == [0, 0, 1]
 
 
 class TestSurvivalFormulas:

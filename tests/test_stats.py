@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qndsim.core import bath_from_gamma
 from qndsim.measurement import ProjectorPartition
-from qndsim.protocol import Ensemble, MeasurementSchedule, run_ensemble
+from qndsim.protocol import ENGINES, Ensemble, MeasurementSchedule, run_ensemble
 from qndsim.stats import (
     FitError,
     SurvivalCurve,
@@ -19,14 +19,21 @@ from qndsim.stats import (
     time_average,
 )
 
+from oracles import reference_dwell, reference_survivors
+
 PARAMS = bath_from_gamma(1.0, 0.1)
+
+
+def dense_ensemble(schedule, outcomes):
+    """A synthetic ensemble of the ``(n_traj, steps)`` record ``outcomes``,
+    given as one run per readout."""
+    return Ensemble(schedule, None, np.arange(outcomes.size), outcomes.ravel(), len(outcomes), 0, 0, "synthetic")
 
 
 def make_ensemble(outcomes, dt=1.0, trunc=1):
     """A synthetic ensemble; a 1-D ``outcomes`` is a single record."""
     outcomes = np.atleast_2d(np.asarray(outcomes, dtype=np.int16))
-    schedule = MeasurementSchedule(dt, outcomes.shape[1], ProjectorPartition.fine(trunc))
-    return Ensemble(schedule, None, outcomes, 0, 0, "synthetic")
+    return dense_ensemble(MeasurementSchedule(dt, outcomes.shape[1], ProjectorPartition.fine(trunc)), outcomes)
 
 
 @st.composite
@@ -36,6 +43,51 @@ def outcome_matrices(draw):
     dtype = draw(st.sampled_from([np.int16, np.int32]))
     values = draw(st.lists(st.integers(0, 3), min_size=n * steps, max_size=n * steps))
     return np.array(values, dtype=dtype).reshape(n, steps)
+
+
+def assert_maximal_runs_of(ensemble, outcomes):
+    """``ensemble`` holds the maximal runs of the dense record ``outcomes``, and
+    every reduction of the runs equals the dense reference of that record."""
+    n_bins, steps = ensemble.schedule.partition.n_bins, ensemble.schedule.steps
+    assert ensemble.outcomes.tobytes() == outcomes.astype(np.int16).tobytes()
+    assert ensemble.outcomes.shape == outcomes.shape and ensemble.outcomes.dtype == np.int16
+    head = ensemble.starts % steps == 0
+    assert ensemble.lengths.min() > 0  # no empty run; the starts ascend
+    assert np.count_nonzero(head) == ensemble.n_traj  # every row starts a run
+    assert not np.any((ensemble.bins[1:] == ensemble.bins[:-1]) & ~head[1:])  # no same-bin neighbours
+    for k in range(n_bins):
+        assert np.array_equal(estimate_survival(ensemble, k).survivors, reference_survivors(outcomes, k))
+        assert time_average(ensemble, k) == np.count_nonzero(outcomes == k) / outcomes.size
+    dwell = dwell_statistics(ensemble)
+    counts, lengths, interior = reference_dwell(outcomes, n_bins)
+    assert dwell.steps == outcomes.size and np.array_equal(dwell.counts, counts)
+    for got, want in zip(dwell.dwell_lengths + dwell.interior_dwell_lengths, lengths + interior):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# {0} | {1, 2} | {3..10}: jumps between levels 1 and 2 stay inside one bin
+COARSE_10 = ProjectorPartition(10, ((0,), (1, 2), tuple(range(3, 11))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    outcomes=outcome_matrices(),
+    engine=st.sampled_from(ENGINES),
+    partition=st.sampled_from([ProjectorPartition.fine(10), COARSE_10]),
+    shape=st.tuples(st.integers(1, 20), st.integers(1, 30)),
+    level=st.integers(0, 10),
+    seed=st.integers(0, 2**32),
+)
+def test_runs_are_maximal_and_reduce_as_the_dense_record(outcomes, engine, partition, shape, level, seed):
+    # a dense record given one run per readout, then both engines' records
+    schedule = MeasurementSchedule(0.5, outcomes.shape[1], ProjectorPartition.fine(4))
+    assert_maximal_runs_of(dense_ensemble(schedule, outcomes), outcomes)
+    n_traj, steps = shape
+    schedule = MeasurementSchedule(0.3, steps, partition)
+    ensemble = run_ensemble(bath_from_gamma(1.0, 2.0), schedule, level, 10, n_traj, seed, engine)
+    assert_maximal_runs_of(ensemble, ensemble.outcomes)
+    again = dense_ensemble(schedule, ensemble.outcomes)
+    assert np.array_equal(again.starts, ensemble.starts) and np.array_equal(again.bins, ensemble.bins)
 
 
 class TestEstimateSurvival:
@@ -74,11 +126,11 @@ class TestEstimateSurvival:
         # an ensemble has one schedule, so neither can reach estimate_survival
         schedule = MeasurementSchedule(1.0, 2, ProjectorPartition.fine(1))
         with pytest.raises(ValueError):
-            Ensemble(schedule, 0, np.zeros((0, 2), dtype=np.int16), 0, 0, "synthetic")
+            dense_ensemble(schedule, np.zeros((0, 2), dtype=np.int16))
         with pytest.raises(ValueError):
-            Ensemble(schedule, 0, np.zeros((2, 3), dtype=np.int16), 0, 0, "synthetic")
+            dense_ensemble(schedule, np.zeros((2, 3), dtype=np.int16))
 
-    @pytest.mark.parametrize("k", [-1, 3, 7])
+    @pytest.mark.parametrize("k", [-1, 3, 7, 0.5, 1.0, 1.5])
     def test_rejects_a_bin_outside_the_partition(self, k):
         with pytest.raises(ValueError, match="outside 0..2"):
             estimate_survival(make_ensemble([[0, 1, 2]] * 2, trunc=2), k)
@@ -93,7 +145,7 @@ class TestEstimateSurvival:
         alive = np.logical_and.accumulate(outcomes == k, axis=1)
         want = np.concatenate(([len(outcomes)], alive.sum(axis=0)))
         schedule = MeasurementSchedule(0.5, outcomes.shape[1], ProjectorPartition.fine(4))
-        curve = estimate_survival(Ensemble(schedule, None, outcomes, 0, 0, "synthetic"), k)
+        curve = estimate_survival(dense_ensemble(schedule, outcomes), k)
         assert np.array_equal(curve.survivors, want)
         assert np.array_equal(curve.times, 0.5 * np.arange(outcomes.shape[1] + 1))
 
@@ -193,11 +245,24 @@ class TestDwellStatistics:
         assert peak < 8e6
         assert dwell.counts.dtype == np.int64 and dwell.counts.sum() == 4_000_000
 
+    def test_jump_record_is_built_and_reduced_in_the_memory_of_its_runs(self):
+        # 4e6 readouts alone would be 8 MB of int16; the record's 7 271 runs,
+        # with the jump path lists, peak at 1.6 MB
+        sched = MeasurementSchedule(0.01, 4_000_000, ProjectorPartition.fine(1))
+        tracemalloc.start()
+        try:
+            dwell = dwell_statistics(run_ensemble(PARAMS, sched, 0, 1, 1, 0, engine="gillespie"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert dwell.counts.sum() == 4_000_000
+
     def test_coarse_counts_sum_the_fine_counts_of_each_bin(self):
         levels = np.random.default_rng(3).integers(0, 5, (6, 40)).astype(np.int16)
         coarse = ProjectorPartition(4, ((0,), (1, 3), (2, 4)))
         outcomes = coarse.level_bin[levels].astype(np.int16)
-        binned = Ensemble(MeasurementSchedule(0.5, 40, coarse), None, outcomes, 0, 0, "synthetic")
+        binned = dense_ensemble(MeasurementSchedule(0.5, 40, coarse), outcomes)
         fine = dwell_statistics(make_ensemble(levels, dt=0.5, trunc=4))
         dwell = dwell_statistics(binned)
         assert dwell.counts.tolist() == [fine.counts[list(b)].sum() for b in coarse.bins]
@@ -213,7 +278,7 @@ class TestTimeAverage:
     def test_alternating_record(self):
         assert time_average(make_ensemble([0, 1, 0, 1]), 1) == 0.5
 
-    @pytest.mark.parametrize("n", [-1, 3, 9])
+    @pytest.mark.parametrize("n", [-1, 3, 9, 0.5, 1.0, 1.5])
     def test_rejects_a_bin_outside_the_partition(self, n):
         with pytest.raises(ValueError, match="outside 0..2"):
             time_average(make_ensemble([0, 1, 2, 1], trunc=2), n)
