@@ -71,7 +71,7 @@ COARSE_SHAPE = (40, 200, 100)
 JUMP_SHAPES = ((1, 1, 4_000_000), (40, 2_000, 1_000))
 DWELL_SHAPE = (1, 1, 4_000_000)
 # (truncation, gamma * duration): every command's readout interval, the
-# two-level chain of dwell, AC2 and AC3, and AC1's longest step (two passes)
+# two-level chain of dwell, AC2 and AC3, and AC1's longest step (7 squarings)
 TRANSITION_SHAPES = ((40, DT), (1, DT), (40, 5.0))
 AC5_SHAPE = (40, 2_000, 1_000)
 CROSSOVER_ROWS = 4096

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .core import BathParams, bath_from_gamma, build_generator, thermal_tail_mass
-from .dynamics import uniformization_passes
+from .dynamics import squarings
 from .protocol import ENGINES
 
 MODES = ("paper", "exact")
@@ -91,7 +91,7 @@ class RunConfig:
         if tail > TAIL_MAX:
             raise ConfigError(f"{dropped} (limit {TAIL_MAX:g}): raise trunc")
         try:
-            uniformization_passes(build_generator(bath, self.trunc), self.dt)
+            squarings(build_generator(bath, self.trunc), self.dt)
         except ValueError as exc:
             raise ConfigError(f"gdt = {self.gdt} at trunc = {self.trunc}: {exc}") from None
         warnings = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,14 @@ class ProjectorPartition:
     def is_fine(self) -> bool:
         return self.bins == tuple((n,) for n in range(self.truncation + 1))
 
+    @cached_property
+    def indicator(self) -> np.ndarray:
+        """Read-only ``(L, n_bins)`` 0/1 level-to-bin indicator, built on
+        first use (:func:`bin_masses`)."""
+        out = (self.level_bin[:, None] == np.arange(self.n_bins)).astype(float)
+        out.setflags(write=False)
+        return out
+
 
 def _check_truncation(pop: PopulationVector, partition: ProjectorPartition) -> None:
     if pop.truncation != partition.truncation:
@@ -86,8 +95,7 @@ def bin_masses(weights: np.ndarray, partition: ProjectorPartition) -> np.ndarray
     """``(rows, n_bins)`` bin masses of ``(rows, L)`` weights, by one stacked
     product per row with the 0/1 level-to-bin indicator (so a row's bits do
     not depend on its batch as they would in a 2-D gemm)."""
-    indicator = (partition.level_bin[:, None] == np.arange(partition.n_bins)).astype(float)
-    return (weights[:, None] @ indicator)[:, 0]
+    return (weights[:, None] @ partition.indicator)[:, 0]
 
 
 def collapse(

@@ -551,7 +551,8 @@ def _coarse_outcomes(
     right-sided bisection of the step's uniform into their cumulative sums,
     and applies the Lüders update :func:`~qndsim.measurement.collapse`: a row
     already inside its bin stays as it is, every other one is zeroed outside
-    the bin and divided by the bin's mass.
+    the bin and divided by the bin's mass.  The runs start where a row's bin
+    changes, read off a one-byte mask over the dense block.
     """
     n_rows, steps = uniforms.shape
     weights = np.broadcast_to(pop.weights, (n_rows, pop.weights.size))
@@ -562,7 +563,10 @@ def _coarse_outcomes(
         outcome = _bisect(np.cumsum(masses, axis=1), uniforms[:, step], masses[:, -1])
         weights = collapse(relaxed, partition, outcome, masses[np.arange(n_rows), outcome])
         outcomes[:, step] = outcome
-    return _runs(np.arange(outcomes.size), outcomes.ravel(), n_rows, steps)
+    change = np.ones_like(outcomes, dtype=bool)
+    np.not_equal(outcomes[:, 1:], outcomes[:, :-1], out=change[:, 1:])
+    starts = np.flatnonzero(change)
+    return starts, outcomes.ravel()[starts]
 
 
 def _block_rows(steps: int) -> int:

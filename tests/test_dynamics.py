@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qndsim import dynamics
 from qndsim.core import (
     NORM_TOL,
     BathParams,
@@ -17,6 +18,12 @@ from qndsim.core import (
 from qndsim.dynamics import mean_relaxation, propagate, transition_matrix, two_level_population
 
 PARAMS = bath_from_gamma(1.0, 0.1)
+M = dynamics._SERIES_EVENTS
+# durations given in mean uniformized events, just either side of the
+# thresholds where a build takes its first, second and third squaring
+STRADDLES = {
+    f"{m}M{sign}": m * M * (1.0 + s * 1e-9) for m in (1, 2, 4) for sign, s in (("-", -1), ("+", 1))
+}
 
 
 def two_level_excited_weight(params, t):
@@ -104,9 +111,9 @@ class TestPropagate:
             propagate(gen, pure_level(0, 3), duration)
 
     def test_passes_are_capped_within_norm_tol(self):
-        # one pass per 128 mean uniformized events, each losing below about
-        # 1e-13 of a column's mass: 10 000 passes stay within NORM_TOL, and a
-        # longer duration is refused before any pass runs
+        # the cap is 10 000 passes of 128 mean uniformized events (1.28e6
+        # events, 20 squarings); the build at the cap stays within NORM_TOL,
+        # and a longer duration is refused before anything is built
         gen = build_generator(BathParams(0.5, 2.0), 1)  # the fastest level leaves at rate 2
         at_cap = 10_000 * 128.0 / 2.0
         assert 1.0 - transition_matrix(gen, at_cap).sum(axis=0).min() <= NORM_TOL
@@ -116,24 +123,50 @@ class TestPropagate:
         with pytest.raises(ValueError, match="more than 10000 uniformization passes"):
             propagate(gen, pure_level(0, 1), past)
 
+    @pytest.mark.parametrize("trunc", [1, 2, 40])
+    @pytest.mark.parametrize("events", [0.0, 1e-3, 0.48, 1.0, M])
+    def test_builds_of_at_most_m_events_are_one_series(self, trunc, events):
+        # bit for bit the one series of a build over at most M mean events
+        gen = build_generator(PARAMS, trunc)
+        rate = float(gen.outflow_rates().max())
+        t = events / rate
+        series = dynamics._series(np.eye(trunc + 1) + gen.rate_matrix() / rate, rate * t, dynamics._TAIL)
+        assert transition_matrix(gen, t).tobytes() == series.tobytes()
+
+    @pytest.mark.parametrize("events", [np.nextafter(M, math.inf), 2 * M, 4.5 * M, 1.28e6])
+    def test_longer_builds_square_one_series(self, events, monkeypatch):
+        # one series over at most M events, then the fewest squarings
+        gen = build_generator(PARAMS, 10)
+        rate = float(gen.outflow_rates().max())
+        means, series = [], dynamics._series
+        monkeypatch.setattr(dynamics, "_series", lambda *args: means.append(args[1]) or series(*args))
+        tmat = transition_matrix(gen, events / rate)
+        (mean,) = means
+        assert M / 2 < mean <= M
+        assert mean * 2 ** dynamics.squarings(gen, events / rate) == pytest.approx(events, rel=1e-15)
+        assert tmat.min() >= 0.0
+
     def test_long_horizon_split(self):
-        # durations long enough to force series splitting still relax to thermal
+        # durations long enough to be squared many times still relax to thermal
         gen = build_generator(PARAMS, 30)
         out = propagate(gen, pure_level(30, 30), 400.0)
         thermal = thermal_populations(PARAMS, 30)
         assert total_variation(out.weights, thermal.weights) <= 1e-10
 
-    @pytest.mark.parametrize("t", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("t", [0.01, 1.0, 100.0, *STRADDLES])
     @pytest.mark.parametrize("trunc", [1, 40, 120])
     @pytest.mark.parametrize("n_thermal", [0.1, 1.0, 5.0])
     def test_uniformization_error_per_pass_against_expm(self, n_thermal, trunc, t):
-        # each uniformization pass (one per 128 mean uniformized events)
-        # adds its Poisson tail and round-off, so the bound is per pass; the
-        # grid's longest point, n_thermal 5, trunc 120, t 100, takes 1027
-        # passes
+        # the bound is 1e-13 per 128 mean uniformized events (the budget of
+        # one series pass when each pass covered 128 events); the grid's
+        # longest point, n_thermal 5, trunc 120, t 100, is 1027 such passes
+        # and 17 squarings.  A duration named "mM-" or "mM+" is that many
+        # events, just short of or past m * M.
         from scipy.linalg import expm
 
         gen = build_generator(bath_from_gamma(1.0, n_thermal), trunc)
+        if t in STRADDLES:
+            t = STRADDLES[t] / gen.outflow_rates().max()
         passes = max(1, math.ceil(gen.outflow_rates().max() * t / 128.0))
         tmat = transition_matrix(gen, t)
         column_tv = 0.5 * np.abs(tmat - expm(t * gen.rate_matrix())).sum(axis=0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qndsim.core import PopulationVector, pure_level
+from qndsim.core import PopulationVector, bath_from_gamma, pure_level
 from qndsim.measurement import (
     ProjectorPartition,
     ZeroProbabilityError,
@@ -12,6 +12,7 @@ from qndsim.measurement import (
     luders_collapse,
     outcome_probabilities,
 )
+from qndsim.protocol import MeasurementSchedule, run_ensemble
 
 from oracles import sample_outcome
 
@@ -50,6 +51,19 @@ class TestPartition:
         part = ProjectorPartition(3, ((0, 1, 2, 3),))
         assert part.n_bins == 1
         assert not part.is_fine
+
+    def test_indicator_is_built_once_on_first_use_and_read_only(self):
+        part = ProjectorPartition(3, ((2, 0), (1, 3)))
+        assert "indicator" not in vars(part)
+        outcome_probabilities(PopulationVector(np.full(4, 0.25)), part)
+        assert vars(part)["indicator"].tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
+        assert part.indicator is part.indicator and not part.indicator.flags.writeable
+        assert part == ProjectorPartition(3, ((0, 2), (1, 3)))
+
+    def test_fine_engine_never_builds_the_indicator(self):
+        schedule = MeasurementSchedule(0.01, 50, ProjectorPartition.fine(3))
+        run_ensemble(bath_from_gamma(1.0, 0.1), schedule, 0, 3, 20, 0)
+        assert "indicator" not in vars(schedule.partition)
 
     def test_rejects_overlap_gap_and_empty(self):
         with pytest.raises(ValueError):

@@ -747,6 +747,21 @@ class TestEnsemble:
             tracemalloc.stop()
         assert peak < 14e6
 
+    def test_coarse_block_packs_its_runs_in_the_memory_of_its_uniforms(self):
+        # one full coarse block, 4096 rows of 192 steps: its uniforms (6.3 MB)
+        # and at most as much again.  The dense outcomes (one byte a readout)
+        # and the change mask fit; intp temporaries the size of the block, at
+        # 8 bytes a readout each, do not.
+        sched = MeasurementSchedule(0.01, protocol.VECTOR_STEPS, ProjectorPartition(2, ((0,), (1, 2))))
+        rows = protocol.BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            run_ensemble(PARAMS, sched, 0, 2, rows, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * rows * protocol.VECTOR_STEPS
+
     def test_same_master_seed_is_bit_identical(self):
         sched = MeasurementSchedule(0.05, 50, ProjectorPartition.fine(1))
         a = run_ensemble(PARAMS, sched, 0, 1, 64, 3)
