@@ -1,6 +1,6 @@
 """Layer timings: each stage of a run at the shapes the commands run it, the
 step count where the numpy PCG64 draw stops beating the per-row Generator,
-and a grid over the fine Lüders engine's ``_WINDOW_ELEMENTS``.
+and a grid over ``_WINDOW_ELEMENTS``, the fine Lüders scan's window size.
 
 Run from a checkout::
 
@@ -15,9 +15,12 @@ mean anything.  ``peak_mb`` is the ``tracemalloc`` peak of one more run
 Layers run at ``gamma = 1`` from level 0, at the settings in their entry
 (``null`` where one does not apply).  ``uniforms`` and ``fine_outcomes`` run
 in blocks cut as ``run_ensemble`` cuts them, one block's runs discarded
-before the next; ``coarse_outcomes`` is the Lüders engine on the partition
-{0} | {1..trunc}, in one block; ``jump_engine`` is ``run_ensemble`` with
-the Gillespie engine; ``record`` is ``protocol._runs``, the normalizer that
+before the next, and take the engine's path for a block of one row: its
+uniforms in chunks (``_row_uniforms``), walked leave to leave
+(``_fine_row``); ``coarse_outcomes`` is the Lüders engine on the partition
+{0} | {1..trunc}, in one block; ``luders_engine`` and ``jump_engine`` are
+``run_ensemble`` with each engine, the Lüders one on a row too long to
+hold its uniforms at once; ``record`` is ``protocol._runs``, the normalizer that
 every ensemble's runs pass through, on the runs that ``estimate_survival``
 and ``dwell_statistics`` read; ``transition_matrix`` is one build over ``gdt``;
 ``ks_distance`` is AC5's test on level-0 interior dwells, and ``ks_import``
@@ -69,6 +72,8 @@ SURVIVAL_SHAPE = (40, 25_000, 100)
 COARSE_SHAPE = (40, 200, 100)
 # AC4 and dwell --engine gillespie, then AC5
 JUMP_SHAPES = ((1, 1, 4_000_000), (40, 2_000, 1_000))
+# dwell --trunc 1 --traj 20000000: one row drawn and walked in chunks
+LUDERS_SHAPES = ((1, 1, 20_000_000),)
 DWELL_SHAPE = (1, 1, 4_000_000)
 # (truncation, gamma * duration): every command's readout interval, the
 # two-level chain of dwell, AC2 and AC3, and AC1's longest step (7 squarings)
@@ -133,18 +138,30 @@ def _blocks(n: int, steps: int) -> list[tuple[int, int]]:
 def _uniforms(n: int, steps: int):
     def draw():
         for start, rows in _blocks(n, steps):
-            protocol._uniforms(0, start, rows, steps)
+            if rows == 1:
+                for _ in protocol._row_uniforms(0, start, steps):
+                    pass
+            else:
+                protocol._uniforms(0, start, rows, steps)
     return draw
 
 
 def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float):
     tmat = dynamics.transition_matrix(build_generator(bath_from_gamma(1.0, n_thermal), trunc), gdt)
     pop = pure_level(0, trunc)
-    blocks = [protocol._uniforms(0, start, rows, steps) for start, rows in _blocks(n, steps)]
+    # a block of one row as its chunks, each copied (the draw reuses one buffer)
+    blocks = [
+        [chunk.copy() for chunk in protocol._row_uniforms(0, start, steps)] if rows == 1
+        else protocol._uniforms(0, start, rows, steps)
+        for start, rows in _blocks(n, steps)
+    ]
 
     def scan():
-        for uniforms in blocks:
-            protocol._fine_outcomes(tmat, pop, uniforms)
+        for block in blocks:
+            if isinstance(block, list):
+                protocol._fine_row(tmat, pop, block)
+            else:
+                protocol._fine_outcomes(tmat, pop, block)
     return scan
 
 
@@ -152,7 +169,7 @@ def _coarse(trunc: int, n: int, steps: int):
     tmat = dynamics.transition_matrix(build_generator(PARAMS, trunc), DT)
     partition = ProjectorPartition(trunc, ((0,), tuple(range(1, trunc + 1))))
     uniforms = protocol._uniforms(0, 0, n, steps)
-    return partial(protocol._coarse_outcomes, tmat, pure_level(0, trunc), partition, uniforms)
+    return partial(protocol._coarse_outcomes, tmat, pure_level(0, trunc), partition, [uniforms])
 
 
 def _ensemble(trunc: int, n: int, steps: int, engine: str = "luders", seed: int = 0):
@@ -183,6 +200,7 @@ def _layers(repeats: int) -> list[dict]:
     cases = [("uniforms", (None, n, s, None, None), _uniforms(n, s)) for n, s in UNIFORM_SHAPES]
     cases += [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
     cases.append(("coarse_outcomes", COARSE_SHAPE + DEFAULTS, _coarse(*COARSE_SHAPE)))
+    cases += [("luders_engine", shape + DEFAULTS, _ensemble(*shape)) for shape in LUDERS_SHAPES]
     cases += [("jump_engine", shape + DEFAULTS, _ensemble(*shape, "gillespie")) for shape in JUMP_SHAPES]
     cases += [
         ("record", shape + DEFAULTS, partial(protocol._runs, e.starts, e.bins, e.n_traj, e.schedule.steps))
@@ -220,8 +238,10 @@ def _crossover(repeats: int) -> dict:
 
 
 def _window_grid(repeats: int) -> dict:
+    """The windowed scan's time per ``_WINDOW_ELEMENTS``, on the shapes of
+    many rows (a block of one row is walked, in no window)."""
     rows = []
-    for shape in ENGINE_SHAPES:
+    for shape in (shape for shape in ENGINE_SHAPES if shape[1] > 1):
         run, median_s = _engine(*shape), {}
         for value in WINDOW_ELEMENTS:
             with _forced("_WINDOW_ELEMENTS", value):

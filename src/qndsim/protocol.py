@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,9 +38,10 @@ SEED_DERIVATION = "numpy SeedSequence((master_seed, trajectory_index)) -> PCG64"
 ENGINES = ("luders", "gillespie")
 
 # Trajectories sampled together, for rows of at most VECTOR_STEPS steps;
-# longer rows come in proportionally fewer (:func:`_block_rows`).  So no block
-# holds more than BLOCK_ROWS * VECTOR_STEPS uniforms (one row excepted), which
-# bounds every working array of the Lüders engine whatever the ensemble size.
+# longer rows come in proportionally fewer (:func:`_block_rows`), and a row
+# longer still alone, drawn in chunks (:func:`_row_uniforms`).  So no block
+# holds more than BLOCK_ROWS * VECTOR_STEPS uniforms at once, which bounds
+# every working array of the Lüders engine whatever the ensemble size.
 BLOCK_ROWS = 4096
 
 
@@ -312,6 +314,20 @@ def _streams(master_seed: int, first_index: int, n: int):
             yield rng
 
 
+def _row_uniforms(master_seed: int, index: int, steps: int):
+    """Trajectory ``index``'s first ``steps`` uniforms, in consecutive chunks
+    of at most ``BLOCK_ROWS * VECTOR_STEPS``, each drawn by the row's
+    Generator (:func:`_streams`) into one reused buffer: a chunk is
+    overwritten by the next.  Chunked ``Generator.random`` calls give the
+    same doubles as one call."""
+    rng = next(_streams(master_seed, index, 1))
+    buffer = np.empty(min(steps, BLOCK_ROWS * VECTOR_STEPS))
+    for start in range(0, steps, buffer.size):
+        chunk = buffer[: steps - start]
+        rng.random(out=chunk)
+        yield chunk
+
+
 def _uniforms(master_seed: int, first_index: int, n: int, steps: int) -> np.ndarray:
     """``(n, steps)`` array whose row r is the first ``steps`` uniforms of
     trajectory ``first_index + r``'s stream.
@@ -475,16 +491,34 @@ def _window_width(n_rows: int, leave_rate: float) -> int:
     return max(1, int(math.sqrt(_WINDOW_ELEMENTS / (n_rows * rate))))
 
 
-def _bisect(cum: np.ndarray, u: np.ndarray, top_mass: np.ndarray) -> np.ndarray:
-    """Right-sided bisection of each row's uniform ``u`` into its cumulative
-    masses ``cum``, clamped to the last outcome (of mass ``top_mass``).  Only
-    the clamp can pick a zero-mass outcome: it raises ZeroProbabilityError."""
-    n_outcomes = cum.shape[1]
-    count = (cum <= u[:, None]).sum(axis=1)
+def _clamp(count, n_outcomes: int, top_mass):
+    """The outcomes of right-sided bisections that found ``count`` cumulative
+    masses at or below their uniforms, clamped to the last outcome (of mass
+    ``top_mass``).  Only the clamp can pick a zero-mass outcome: it raises
+    ZeroProbabilityError."""
     clamped = count == n_outcomes
-    if clamped.any() and np.any(clamped & (top_mass == 0.0)):
+    if np.any(clamped) and np.any(clamped & (top_mass == 0.0)):
         raise ZeroProbabilityError("a sampled outcome has zero probability")
     return np.minimum(count, n_outcomes - 1)
+
+
+def _bisect(cum: np.ndarray, u: np.ndarray, top_mass: np.ndarray) -> np.ndarray:
+    """Right-sided bisection of each row's uniform ``u`` into its cumulative
+    masses ``cum``, clamped (:func:`_clamp`)."""
+    return _clamp((cum <= u[:, None]).sum(axis=1), cum.shape[1], top_mass)
+
+
+def _level_bounds(tmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column k's cumulative masses ``cum[k]`` and the interval ``[lower[k],
+    upper[k])`` of the uniforms that keep a pure level k at the next fine
+    readout (no upper bound at the top level, where a uniform above the
+    column's mass clamps)."""
+    cum = np.cumsum(tmat, axis=0).T
+    diagonal = np.arange(tmat.shape[0])
+    lower = np.concatenate(([0.0], cum[diagonal[1:], diagonal[:-1]]))
+    upper = cum[diagonal, diagonal]
+    upper[-1] = np.inf
+    return cum, lower, upper
 
 
 def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray):
@@ -493,86 +527,157 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
 
     A fine collapse leaves a pure level k, and the next outcome is the
     right-sided bisection of the step's uniform into column k's cumulative
-    masses: it is k again exactly when ``cum_k[k-1] <= u < cum_k[k]`` (no
-    upper bound at the top level, where a uniform above the column's mass
-    clamps).  So after the first readout the block is scanned in aligned
-    windows of columns (:func:`_window_width` wide, for the rows' mean leave
-    rate ``1 - tmat[k, k]``): every row's uniforms in a window are compared
-    with its level's interval, a row that leaves is bisected at its first
-    leave, and only those rows are compared again, with their new level, past
-    that column, until no row leaves; the levels carry into the next window.  A
-    row that never leaves (most rows, when readouts are frequent) costs one
-    interval test per readout, and each leave starts a run.
+    masses: it is k again exactly when the uniform falls in k's interval
+    (:func:`_level_bounds`).  So after the first readout the block is
+    scanned in aligned windows of columns (:func:`_window_width` wide, for
+    the rows' mean leave rate ``1 - tmat[k, k]``): every row's uniforms in a
+    window are compared with its level's interval (the most common level's
+    as scalars, then the rows at other levels again with theirs), a row
+    that leaves is bisected at its first leave, and only those rows are
+    compared again, with their new level, past that column, until no row
+    leaves; the levels carry into the next window.  A row that never leaves
+    (most rows, when readouts are frequent) costs one interval test per
+    readout, and each leave starts a run.  :func:`run_ensemble` walks a
+    block of one row instead (:func:`_fine_row`).
     """
     n_rows, steps = uniforms.shape
-    n_levels = tmat.shape[0]
-    cum = np.cumsum(tmat, axis=0).T
+    cum, lower, upper = _level_bounds(tmat)
     relaxed = tmat @ pop.weights
-    diagonal = np.arange(n_levels)
-    lower = np.concatenate(([0.0], cum[diagonal[1:], diagonal[:-1]]))
-    upper = cum[diagonal, diagonal]
-    upper[-1] = np.inf
-    level = _bisect(np.cumsum(relaxed)[None], uniforms[:, 0], relaxed[-1])
+    first = np.searchsorted(np.cumsum(relaxed), uniforms[:, 0], side="right")
+    level = _clamp(first, tmat.shape[0], relaxed[-1])
     # every run of a level, as its flat start (row * steps + step) and level
     run_starts, run_levels = [np.arange(n_rows) * steps], [level.copy()]
     start = 1
     while start < steps:
         width = min(steps - start, _window_width(n_rows, 1.0 - tmat[level, level].mean()))
         window = uniforms[:, start:start + width]
-        rows, k, u, after = np.arange(n_rows), level, window, None
-        while rows.size:
-            leave = u < lower[k, None]
-            leave |= u >= upper[k, None]  # in place: one fewer window-sized mask
-            if after is not None:  # only past the row's last leave in this window
-                leave &= np.arange(width) > after
+        common = np.bincount(level).argmax()
+        leave = window < lower[common]
+        leave |= window >= upper[common]  # in place: one fewer window-sized mask
+        other = np.flatnonzero(level != common)
+        if other.size:
+            u, k = window[other], level[other]
+            leave[other] = (u < lower[k, None]) | (u >= upper[k, None])
+        rows, k = np.arange(n_rows), level
+        while True:
             at = leave.argmax(axis=1)
             left = leave[np.arange(rows.size), at]
             rows, at, was = rows[left], at[left], k[left]
+            if not rows.size:
+                break
             level[rows] = k = _bisect(cum[was], window[rows, at], tmat[-1, was])
             run_starts.append(rows * steps + start + at)
             run_levels.append(k)
-            u, after = window[rows], at[:, None]
+            u = window[rows]  # only past the row's last leave in this window
+            leave = u < lower[k, None]
+            leave |= u >= upper[k, None]
+            leave &= np.arange(width) > at[:, None]
         start += width
     starts = np.concatenate(run_starts)
     order = np.argsort(starts)
     return starts[order], np.concatenate(run_levels)[order]
 
 
-def _coarse_outcomes(
-    tmat: np.ndarray, pop: PopulationVector, partition: ProjectorPartition, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs (:class:`Ensemble`) of the measurement loop under any
-    partition, one row per row of ``uniforms``.
+def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs (:class:`Ensemble`) of one row of the measurement loop
+    under a fine partition, its uniforms given as consecutive ``chunks`` of
+    at most ``BLOCK_ROWS * VECTOR_STEPS``.
 
-    The state is an ``(n_rows, L)`` stack of weight rows.  Each step relaxes
-    it by a stacked product with ``tmat.T`` (one identical BLAS call per row,
-    so a row's bits do not depend on its batch as they would in a 2-D gemm),
-    takes its :func:`~qndsim.measurement.bin_masses`, samples a bin by
-    right-sided bisection of the step's uniform into their cumulative sums,
-    and applies the Lüders update :func:`~qndsim.measurement.collapse`: a row
-    already inside its bin stays as it is, every other one is zeroed outside
-    the bin and divided by the bin's mass.  The runs start where a row's bin
-    changes, read off a one-byte mask over the dense block.
+    The row is walked from leave to leave.  The readouts where level k
+    leaves (its uniform outside k's interval, :func:`_level_bounds`) come
+    from one comparison over a span of the chunk, made when the row reaches
+    k past the span it last compared for k; the next leave is the first of
+    them past the row's position, found by bisection, and the new level is
+    the right-sided bisection of its uniform into column k's cumulative
+    masses, clamped (:func:`_clamp`).  The level and the position carry into
+    the next chunk.  A span is the whole chunk, or ``1 / (L * q_k)`` of it
+    for a level left with chance ``q_k = 1 - tmat[k, k]`` above ``1 / L``, so
+    that the L levels' leave positions together hold about one chunk.  A
+    readout costs one interval test per level whose span covers it, and a
+    leave a few scalar operations.
     """
-    n_rows, steps = uniforms.shape
-    weights = np.broadcast_to(pop.weights, (n_rows, pop.weights.size))
-    outcomes = np.empty((n_rows, steps), dtype=_outcome_dtype(partition.n_bins))
-    for step in range(steps):
-        relaxed = (weights[:, None] @ tmat.T)[:, 0]
-        masses = bin_masses(relaxed, partition)
-        outcome = _bisect(np.cumsum(masses, axis=1), uniforms[:, step], masses[:, -1])
-        weights = collapse(relaxed, partition, outcome, masses[np.arange(n_rows), outcome])
-        outcomes[:, step] = outcome
-    change = np.ones_like(outcomes, dtype=bool)
-    np.not_equal(outcomes[:, 1:], outcomes[:, :-1], out=change[:, 1:])
-    starts = np.flatnonzero(change)
-    return starts, outcomes.ravel()[starts]
+    n_levels = tmat.shape[0]
+    cum, lower, upper = _level_bounds(tmat)
+    columns, top_mass = cum.tolist(), tmat[-1].tolist()
+    size = BLOCK_ROWS * VECTOR_STEPS
+    spans = np.ceil(size / np.maximum(n_levels * (1.0 - np.diagonal(tmat)), 1.0)).astype(int).tolist()
+    relaxed = tmat @ pop.weights
+    level, position, offset = None, 1, 0
+    run_starts, run_levels = [], []
+    for chunk in chunks:
+        # leaves[k]: the end of the span last compared for level k, and its leaves
+        u, leaves, found, levels = memoryview(chunk), {}, [], []
+        if level is None:  # the first readout
+            level = int(_clamp(bisect_right(np.cumsum(relaxed).tolist(), u[0]), n_levels, relaxed[-1]))
+            found.append(0)
+            levels.append(level)
+        while True:
+            end, positions = leaves.get(level, (0, ()))
+            i = bisect_left(positions, position)
+            if i < len(positions):
+                at = positions[i]
+                new = bisect_right(columns[level], u[at])
+                level = new if new < n_levels else int(_clamp(new, n_levels, top_mass[level]))
+                found.append(at)
+                levels.append(level)
+                position = at + 1
+            elif end < chunk.size:  # no leave before the span's end: compare the next span
+                start = max(position, end)
+                span = chunk[start:start + spans[level]]
+                leave = np.flatnonzero((span < lower[level]) | (span >= upper[level])) + start
+                leaves[level] = (start + span.size, memoryview(leave))
+            else:
+                break
+        run_starts.append(np.array(found, dtype=np.intp) + offset)
+        run_levels.append(np.array(levels, dtype=np.intp))
+        offset += chunk.size
+        position = 0
+    return np.concatenate(run_starts), np.concatenate(run_levels)
+
+
+def _coarse_outcomes(tmat: np.ndarray, pop: PopulationVector, partition: ProjectorPartition, chunks):
+    """Runs (:class:`Ensemble`) of the measurement loop under any partition,
+    for a block given as consecutive column ``chunks``: all its rows' uniforms
+    as one ``(n_rows, steps)`` chunk, or one row's in ``(1, width)`` pieces.
+
+    The state is an ``(n_rows, L)`` stack of weight rows, carried from chunk
+    to chunk.  Each step relaxes it by a stacked product with ``tmat.T`` (one
+    identical BLAS call per row, so a row's bits do not depend on its batch
+    as they would in a 2-D gemm), takes its
+    :func:`~qndsim.measurement.bin_masses`, samples a bin by right-sided
+    bisection of the step's uniform into their cumulative sums, and applies
+    the Lüders update :func:`~qndsim.measurement.collapse`: a row already
+    inside its bin stays as it is, every other one is zeroed outside the bin
+    and divided by the bin's mass.  The runs start where a row's bin
+    changes, read off a one-byte mask over each dense chunk, and at each
+    chunk's first column (:func:`_runs` joins a run to a same-bin one before
+    it).
+    """
+    weights, offset, run_starts, run_bins = pop.weights[None], 0, [], []
+    for uniforms in chunks:
+        n_rows, width = uniforms.shape
+        weights = np.broadcast_to(weights, (n_rows, pop.weights.size))
+        outcomes = np.empty((n_rows, width), dtype=_outcome_dtype(partition.n_bins))
+        for step in range(width):
+            relaxed = (weights[:, None] @ tmat.T)[:, 0]
+            masses = bin_masses(relaxed, partition)
+            outcome = _bisect(np.cumsum(masses, axis=1), uniforms[:, step], masses[:, -1])
+            weights = collapse(relaxed, partition, outcome, masses[np.arange(n_rows), outcome])
+            outcomes[:, step] = outcome
+        change = np.ones_like(outcomes, dtype=bool)
+        np.not_equal(outcomes[:, 1:], outcomes[:, :-1], out=change[:, 1:])
+        starts = np.flatnonzero(change)
+        run_starts.append(starts + offset)
+        run_bins.append(outcomes.ravel()[starts])
+        offset += width
+    return np.concatenate(run_starts), np.concatenate(run_bins)
 
 
 def _block_rows(steps: int) -> int:
     """Rows per Lüders block: :data:`BLOCK_ROWS`, and for rows longer than
     :data:`VECTOR_STEPS` as many as hold ``BLOCK_ROWS * VECTOR_STEPS``
-    uniforms (at least one)."""
+    uniforms, or one row alone, drawn in chunks of that many, when it holds
+    more (:func:`_row_uniforms`)."""
     return min(BLOCK_ROWS, max(1, BLOCK_ROWS * VECTOR_STEPS // steps))
 
 
@@ -593,11 +698,14 @@ def run_ensemble(
     depends on another's, so the ensemble split at any ``first_index`` and
     concatenated is bit-identical to the unsplit run.  The Lüders engine
     runs blocks of :func:`_block_rows` trajectories: at most
-    :data:`BLOCK_ROWS`, and no more than ``BLOCK_ROWS * VECTOR_STEPS``
-    readouts per block unless one row is longer, so its working memory is
-    bounded by the block, not by the ensemble.  The jump engine reads out
-    all its paths in one pass.  Both engines take any partition; the Lüders
-    engine has a faster scan for a fine one (:func:`_fine_outcomes`).
+    :data:`BLOCK_ROWS`, with no more than ``BLOCK_ROWS * VECTOR_STEPS``
+    uniforms at once, a block of one row drawing them in chunks
+    (:func:`_row_uniforms`), so its working memory is bounded by the block,
+    not by the ensemble or the row.  The jump engine reads out all its paths
+    in one pass.  Both engines take any partition; under a fine one the
+    Lüders engine scans a block of many rows in windows
+    (:func:`_fine_outcomes`) and walks one row from leave to leave
+    (:func:`_fine_row`).
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
@@ -627,12 +735,20 @@ def run_ensemble(
         block_rows, steps = _block_rows(schedule.steps), schedule.steps
         runs = []
         for start in range(0, n_traj, block_rows):
-            uniforms = _uniforms(master_seed, first_index + start, min(block_rows, n_traj - start), steps)
-            if partition.is_fine:
-                block = _fine_outcomes(tmat, pop, uniforms)
+            rows = min(block_rows, n_traj - start)
+            if rows == 1:
+                chunks = _row_uniforms(master_seed, first_index + start, steps)
+                if partition.is_fine:
+                    block = _fine_row(tmat, pop, chunks)
+                else:
+                    block = _coarse_outcomes(tmat, pop, partition, (chunk[None] for chunk in chunks))
             else:
-                block = _coarse_outcomes(tmat, pop, partition, uniforms)
-            del uniforms  # else it lives on while the next block is drawn
+                uniforms = _uniforms(master_seed, first_index + start, rows, steps)
+                if partition.is_fine:
+                    block = _fine_outcomes(tmat, pop, uniforms)
+                else:
+                    block = _coarse_outcomes(tmat, pop, partition, [uniforms])
+                del uniforms  # else it lives on while the next block is drawn
             runs.append((block[0] + start * steps, block[1]))
         starts, bins = map(np.concatenate, zip(*runs))
     return Ensemble(schedule, level, starts, bins, n_traj, master_seed, first_index, engine)

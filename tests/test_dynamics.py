@@ -112,11 +112,12 @@ class TestPropagate:
 
     def test_passes_are_capped_within_norm_tol(self):
         # the cap is 10 000 passes of 128 mean uniformized events (1.28e6
-        # events, 20 squarings); the build at the cap stays within NORM_TOL,
-        # and a longer duration is refused before anything is built
+        # events, 20 squarings); the build at the cap keeps its column sums
+        # within NORM_TOL of 1 either way, and a longer duration is refused
+        # before anything is built
         gen = build_generator(BathParams(0.5, 2.0), 1)  # the fastest level leaves at rate 2
         at_cap = 10_000 * 128.0 / 2.0
-        assert 1.0 - transition_matrix(gen, at_cap).sum(axis=0).min() <= NORM_TOL
+        assert np.abs(1.0 - transition_matrix(gen, at_cap).sum(axis=0)).max() <= NORM_TOL
         past = np.nextafter(at_cap, math.inf)
         with pytest.raises(ValueError, match="more than 10000 uniformization passes"):
             transition_matrix(gen, past)
@@ -171,7 +172,8 @@ class TestPropagate:
         tmat = transition_matrix(gen, t)
         column_tv = 0.5 * np.abs(tmat - expm(t * gen.rate_matrix())).sum(axis=0)
         assert column_tv.max() <= passes * 1e-13
-        assert 1.0 - tmat.sum(axis=0).min() <= passes * 1e-13
+        # a squared build can sum above 1 as well as below
+        assert np.abs(1.0 - tmat.sum(axis=0)).max() <= passes * 1e-13
 
 
 class TestMeanRelaxation:

@@ -96,6 +96,16 @@ class TestStreams:
         got = protocol._uniforms(master_seed, first_index, n, steps)
         assert_same_bits(got, reference_uniforms(master_seed, first_index, n, steps))
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 4096])
+    def test_row_chunks_continue_the_reference_stream(self, monkeypatch, block_rows):
+        # chunks of at most BLOCK_ROWS * VECTOR_STEPS uniforms, the last one
+        # partial, that together are the row's stream
+        monkeypatch.setattr(protocol, "BLOCK_ROWS", block_rows)
+        steps = 5 * protocol.VECTOR_STEPS + 7
+        chunks = [c.copy() for c in protocol._row_uniforms(9, 2**32 - 1, steps)]
+        assert max(c.size for c in chunks) == min(steps, block_rows * protocol.VECTOR_STEPS)
+        assert_same_bits(np.concatenate(chunks), reference_uniforms(9, 2**32 - 1, 1, steps)[0])
+
     def test_streams_continue_like_reference_streams(self):
         # the jump engine interleaves exponentials and uniforms on one stream
         for i, rng in enumerate(protocol._streams(3, 2**32 - 1, 2)):
@@ -131,6 +141,13 @@ class TestSchedule:
     def test_rejects_overflowing_horizon(self):
         with pytest.raises(ValueError, match="overflows"):
             MeasurementSchedule(1e308, 10, ProjectorPartition.fine(2))
+
+
+# blocks of two rows, scanned, and of one row, walked (fine) or chunked (coarse)
+TOP_UNIFORM_CASES = [
+    (partition, n_traj) for n_traj in (2, 1) for partition in (ProjectorPartition.fine(3), coarse_partition(3))
+]
+TOP_UNIFORM_IDS = ["fine", "coarse", "fine-one-row", "coarse-one-row"]
 
 
 class TestLudersEngine:
@@ -280,19 +297,32 @@ class TestLudersEngine:
             assert_same_bits(alone, relaxed[r:r + 1])
             assert_same_bits(bin_masses(alone[:, 0], partition), masses[r:r + 1])
 
-    @pytest.mark.parametrize(
-        "partition", [ProjectorPartition.fine(3), coarse_partition(3)], ids=["fine", "coarse"]
-    )
-    def test_zero_probability_outcome_raises(self, monkeypatch, partition):
-        # a uniform above the column mass (1 - Poisson tail) clamps into the
-        # last bin, which holds no mass when the bath cannot excite level 0
-        def top_uniforms(master_seed, first_index, n, steps):
-            return np.full((n, steps), np.nextafter(1.0, 0.0))
+    @staticmethod
+    def top_uniforms(monkeypatch):
+        # the first readout keeps level 0; every later uniform is just below
+        # 1, above every column's mass (1 - Poisson tail), so the row leaves
+        # level 0 upwards past the last bin and the bisection clamps
+        def row(steps):
+            return np.concatenate(([0.5], np.full(steps - 1, np.nextafter(1.0, 0.0))))
 
-        monkeypatch.setattr(protocol, "_uniforms", top_uniforms)
+        monkeypatch.setattr(protocol, "_uniforms", lambda seed, first, n, steps: np.tile(row(steps), (n, 1)))
+        monkeypatch.setattr(protocol, "_row_uniforms", lambda seed, index, steps: iter([row(steps)]))
+
+    @pytest.mark.parametrize("partition,n_traj", TOP_UNIFORM_CASES, ids=TOP_UNIFORM_IDS)
+    def test_zero_probability_outcome_raises(self, monkeypatch, partition, n_traj):
+        # the last bin holds no mass when the bath cannot excite level 0
+        self.top_uniforms(monkeypatch)
         sched = MeasurementSchedule(0.5, 3, partition)
         with pytest.raises(ZeroProbabilityError):
-            run_ensemble(BathParams(0.0, 1.1), sched, 0, 3, 2, 0)
+            run_ensemble(BathParams(0.0, 1.1), sched, 0, 3, n_traj, 0)
+
+    @pytest.mark.parametrize("partition,n_traj", TOP_UNIFORM_CASES, ids=TOP_UNIFORM_IDS)
+    def test_uniform_above_the_column_mass_clamps_into_the_last_bin(self, monkeypatch, partition, n_traj):
+        # the last bin holds mass here, so the clamp picks it and the rows stay
+        self.top_uniforms(monkeypatch)
+        sched = MeasurementSchedule(0.5, 3, partition)
+        outcomes = run_ensemble(PARAMS, sched, 0, 3, n_traj, 0).outcomes
+        assert np.all(outcomes == [0, partition.n_bins - 1, partition.n_bins - 1])
 
     def test_survival_fraction_near_product_prediction(self):
         sched = MeasurementSchedule(0.01, 100, ProjectorPartition.fine(1))
@@ -403,6 +433,89 @@ class TestFineEngineEdgesInNarrowWindows(TestFineEngineEdges):
     def narrow_windows(self, monkeypatch, width):
         monkeypatch.setattr(protocol, "VECTOR_STEPS", width)
         monkeypatch.setattr(protocol, "_window_width", lambda n_rows, leave_rate: width)
+
+
+class TestFineRowWalk:
+    """One row under a fine partition, walked from leave to leave over its
+    uniforms in chunks of ``BLOCK_ROWS * VECTOR_STEPS``, against
+    :func:`reference_loop`.  Both constants are patched small, so that a row
+    spans several chunks and carries its level and position across each
+    chunk's edge."""
+
+    @staticmethod
+    def walk(params, sched, initial, trunc, chunk, index=0):
+        # BLOCK_ROWS = 1 leaves chunks of VECTOR_STEPS uniforms
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "BLOCK_ROWS", 1)
+            mp.setattr(protocol, "VECTOR_STEPS", chunk)
+            outcomes = run_ensemble(params, sched, initial, trunc, 1, 42, first_index=index).outcomes[0]
+        start = pure_level(initial, trunc) if isinstance(initial, int) else initial
+        assert np.array_equal(outcomes, reference_loop(params, sched, start, trunc, (42, index)))
+        return outcomes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=st.one_of(
+            st.floats(0.05, 5.0).map(lambda n: bath_from_gamma(1.0, n)),
+            st.just(BathParams(0.0, 1.1)),  # zero emission: level 0 is absorbing
+        ),
+        trunc=st.integers(1, 6),
+        # at gamma * dt = 3 the chain is near its stationary law, where most
+        # readouts leave at large n_thermal and truncation
+        dt=st.sampled_from([0.01, 0.3, 3.0]),
+        chunk=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_walk_matches_reference_loop(self, params, trunc, dt, chunk, data):
+        initial = data.draw(st.integers(0, trunc), label="initial")
+        steps = data.draw(st.integers(1, 12 * chunk), label="steps")
+        index = data.draw(st.integers(0, 1000), label="index")
+        sched = MeasurementSchedule(dt, steps, ProjectorPartition.fine(trunc))
+        self.walk(params, sched, initial, trunc, chunk, index)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_leaves_on_chunk_edges(self, chunk):
+        # at gamma * dt = 5 in HIGH_JUMP the level changes at nearly every
+        # readout, so leaves fall on the first and the last readout of chunks
+        sched = MeasurementSchedule(5.0, 40, ProjectorPartition.fine(40))
+        outcomes = self.walk(HIGH_JUMP, sched, 40, 40, chunk)
+        leaves = np.flatnonzero(np.diff(outcomes)) + 1
+        assert np.any(leaves % chunk == 0) and np.any(leaves % chunk == chunk - 1)
+
+    def test_rows_from_a_mixed_state(self):
+        # the first readout is bisected into the relaxed thermal state
+        params = bath_from_gamma(1.0, 0.8)
+        sched = MeasurementSchedule(0.1, 30, ProjectorPartition.fine(5))
+        firsts = {self.walk(params, sched, thermal_populations(params, 5), 5, 7, i)[0] for i in range(20)}
+        assert len(firsts) >= 3
+
+    def test_busy_row_keeps_about_one_chunk_of_leave_positions(self, monkeypatch):
+        # at n_thermal 5 and gamma * dt = 1 a fine(40) row leaves at 9 in 10
+        # readouts and visits most levels in a chunk: the leave positions of
+        # the whole chunk for each level visited would be about 40 chunks of
+        # int64, and spans keep them to about one.  The runs (listed as
+        # Python ints, then two int64 arrays, then joined) and the compare
+        # masks take the rest, about 10 chunks in all.
+        size = 20_000
+        monkeypatch.setattr(protocol, "BLOCK_ROWS", 1)
+        monkeypatch.setattr(protocol, "VECTOR_STEPS", size)
+        tmat = transition_matrix(build_generator(bath_from_gamma(1.0, 5.0), 40), 1.0)
+        chunk = np.random.default_rng(0).random(size)
+        tracemalloc.start()
+        try:
+            starts, _ = protocol._fine_row(tmat, pure_level(0, 40), [chunk])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert starts.size > 0.8 * size
+        assert peak < 16 * 8 * size
+
+    @pytest.mark.parametrize("initial", [0, 3], ids=["bottom", "top"])
+    def test_long_row_over_many_chunks(self, initial):
+        # a few leaves over 60 chunks, most chunks without one
+        sched = MeasurementSchedule(0.05, 3000, ProjectorPartition.fine(3))
+        outcomes = self.walk(PARAMS, sched, initial, 3, 50)
+        assert 2 < np.count_nonzero(np.diff(outcomes)) < 200
 
 
 class TestGillespieEngine:
@@ -746,6 +859,30 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert peak < 14e6
+
+    def test_one_long_row_runs_in_bounded_memory(self):
+        # one Lüders row of 4e6 readouts is drawn and walked in chunks of
+        # BLOCK_ROWS * VECTOR_STEPS uniforms (6.3 MB); the row's 32 MB of
+        # uniforms at once, or two chunks, do not fit
+        sched = MeasurementSchedule(0.01, 4_000_000, ProjectorPartition.fine(1))
+        tracemalloc.start()
+        try:
+            run_ensemble(PARAMS, sched, 0, 1, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * protocol.BLOCK_ROWS * protocol.VECTOR_STEPS
+
+    def test_coarse_row_in_chunks_matches_its_block(self, monkeypatch):
+        # rows of 1000 steps in one block, then each alone in chunks of 384
+        # uniforms, its state carried from chunk to chunk
+        sched = MeasurementSchedule(0.3, 1000, coarse_partition(4))
+        whole = run_ensemble(PARAMS, sched, 1, 4, 3, 5)
+        monkeypatch.setattr(protocol, "BLOCK_ROWS", 2)
+        assert protocol._block_rows(sched.steps) == 1
+        chunked = run_ensemble(PARAMS, sched, 1, 4, 3, 5)
+        assert np.array_equal(whole.starts, chunked.starts) and np.array_equal(whole.bins, chunked.bins)
+        assert whole.bins.size > 10
 
     def test_coarse_block_packs_its_runs_in_the_memory_of_its_uniforms(self):
         # one full coarse block, 4096 rows of 192 steps: its uniforms (6.3 MB)
