@@ -58,13 +58,15 @@ DEFAULTS = (N_THERMAL, DT)
 UNIFORM_SHAPES = ((25_000, 100), (20_000, 100), (200, 100), (2_000, 1_000), (1, 200_000))
 # (truncation, rows, steps, n_thermal, gdt): survival, survival --trunc 1, AC5,
 # dwell --trunc 1 at the defaults, where about 9 in 10 rows never leave their
-# first level; then with frequent leaves (0.42 to 0.45 leaves per readout at
-# n_thermal 2, gdt 0.1; 0.11 at gdt 1): survival --n-thermal 2 --gdt 0.1
-# --horizon 10 in one block, AC5's blocks at those settings, dwell --trunc 1 --gdt 1
+# first level, and dwell at the defaults (trunc 40, 1e5 readouts); then with
+# frequent leaves (0.42 to 0.45 leaves per readout at n_thermal 2, gdt 0.1;
+# 0.11 at gdt 1): survival --n-thermal 2 --gdt 0.1 --horizon 10 in one block,
+# AC5's blocks and a dwell record at those settings, dwell --trunc 1 --gdt 1
 ENGINE_SHAPES = (
     (40, 25_000, 100, N_THERMAL, DT), (1, 20_000, 100, N_THERMAL, DT),
-    (40, 2_000, 1_000, N_THERMAL, DT), (1, 1, 200_000, N_THERMAL, DT),
-    (40, 4_096, 100, 2.0, 0.1), (40, 2_000, 1_000, 2.0, 0.1), (1, 1, 200_000, N_THERMAL, 1.0),
+    (40, 2_000, 1_000, N_THERMAL, DT), (1, 1, 200_000, N_THERMAL, DT), (40, 1, 100_000, N_THERMAL, DT),
+    (40, 4_096, 100, 2.0, 0.1), (40, 2_000, 1_000, 2.0, 0.1), (40, 1, 100_000, 2.0, 0.1),
+    (1, 1, 200_000, N_THERMAL, 1.0),
 )
 # (truncation, rows, steps) of survival at 25 000 trajectories
 SURVIVAL_SHAPE = (40, 25_000, 100)

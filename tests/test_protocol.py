@@ -298,20 +298,28 @@ class TestLudersEngine:
             assert_same_bits(bin_masses(alone[:, 0], partition), masses[r:r + 1])
 
     @staticmethod
-    def top_uniforms(monkeypatch):
-        # the first readout keeps level 0; every later uniform is just below
-        # 1, above every column's mass (1 - Poisson tail), so the row leaves
-        # level 0 upwards past the last bin and the bisection clamps
+    def top_uniforms(monkeypatch, first):
+        # every uniform after the first is just below 1, above every column's
+        # mass (1 - Poisson tail), so the bisection clamps into the last bin
         def row(steps):
-            return np.concatenate(([0.5], np.full(steps - 1, np.nextafter(1.0, 0.0))))
+            return np.concatenate(([first], np.full(steps - 1, np.nextafter(1.0, 0.0))))
 
-        monkeypatch.setattr(protocol, "_uniforms", lambda seed, first, n, steps: np.tile(row(steps), (n, 1)))
+        monkeypatch.setattr(protocol, "_uniforms", lambda seed, first_index, n, steps: np.tile(row(steps), (n, 1)))
         monkeypatch.setattr(protocol, "_row_uniforms", lambda seed, index, steps: iter([row(steps)]))
 
-    @pytest.mark.parametrize("partition,n_traj", TOP_UNIFORM_CASES, ids=TOP_UNIFORM_IDS)
-    def test_zero_probability_outcome_raises(self, monkeypatch, partition, n_traj):
-        # the last bin holds no mass when the bath cannot excite level 0
-        self.top_uniforms(monkeypatch)
+    @pytest.mark.parametrize(
+        "partition,n_traj,first",
+        [
+            pytest.param(*case, first, id=name + suffix)
+            for first, suffix in ((np.nextafter(1.0, 0.0), ""), (0.5, "-leave"))
+            for case, name in zip(TOP_UNIFORM_CASES, TOP_UNIFORM_IDS)
+        ],
+    )
+    def test_zero_probability_outcome_raises(self, monkeypatch, partition, n_traj, first):
+        # the last bin holds no mass when the bath cannot excite level 0: the
+        # first readout clamps into it, or keeps level 0 (first uniform 0.5)
+        # and the readout after it leaves level 0 into it
+        self.top_uniforms(monkeypatch, first)
         sched = MeasurementSchedule(0.5, 3, partition)
         with pytest.raises(ZeroProbabilityError):
             run_ensemble(BathParams(0.0, 1.1), sched, 0, 3, n_traj, 0)
@@ -319,7 +327,7 @@ class TestLudersEngine:
     @pytest.mark.parametrize("partition,n_traj", TOP_UNIFORM_CASES, ids=TOP_UNIFORM_IDS)
     def test_uniform_above_the_column_mass_clamps_into_the_last_bin(self, monkeypatch, partition, n_traj):
         # the last bin holds mass here, so the clamp picks it and the rows stay
-        self.top_uniforms(monkeypatch)
+        self.top_uniforms(monkeypatch, 0.5)
         sched = MeasurementSchedule(0.5, 3, partition)
         outcomes = run_ensemble(PARAMS, sched, 0, 3, n_traj, 0).outcomes
         assert np.all(outcomes == [0, partition.n_bins - 1, partition.n_bins - 1])
