@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import NORM_TOL, BathParams, BirthDeathGenerator, PopulationVector
+from .core import BathParams, BirthDeathGenerator, PopulationVector
 
 # Neglected Poisson tail of a build (total-variation error).  A build runs one
 # series over at most _SERIES_EVENTS mean uniformized events, with its tail
@@ -33,13 +33,10 @@ from .core import NORM_TOL, BathParams, BirthDeathGenerator, PopulationVector
 # AC7's 500 builds took 68 ms at 2 events, 64 ms at 0.5 and 91 ms at 16.
 _TAIL = 1e-14
 _SERIES_EVENTS = 2.0
-# Durations of more than MAX_PASSES * 128 mean uniformized events are refused
-# (20 squarings).  That cap dates from one series pass per 128 events, each
-# losing up to 1e-13 of a column's mass.  At the cap the squared build's
-# column sums miss 1 by 5.7e-12 at trunc 1 and by at most 1.1e-10 at trunc 40
-# and 120, far inside NORM_TOL.
-MAX_PASSES = round(NORM_TOL / 1e-13)
-_EVENTS_PER_PASS = 128.0
+# Durations of more than MAX_EVENTS mean uniformized events are refused (20
+# squarings).  At the cap the squared build's column sums miss 1 by 5.7e-12 at
+# trunc 1 and by at most 1.1e-10 at trunc 40 and 120, far inside core.NORM_TOL.
+MAX_EVENTS = 1.28e6
 
 
 def _series(kernel: np.ndarray, mean: float, tail: float) -> np.ndarray:
@@ -65,12 +62,12 @@ def _series(kernel: np.ndarray, mean: float, tail: float) -> np.ndarray:
 def squarings(gen: BirthDeathGenerator, duration: float) -> int:
     """Squarings of :func:`transition_matrix` over ``duration``: the fewest
     that bring its series to at most ``_SERIES_EVENTS`` mean uniformized
-    events; ``ValueError`` past :data:`MAX_PASSES`."""
+    events; ``ValueError`` past :data:`MAX_EVENTS` events."""
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be non-negative and finite, got {duration}")
     events = float(gen.outflow_rates().max()) * duration
-    if events / _EVENTS_PER_PASS > MAX_PASSES:
-        raise ValueError(f"duration {duration} needs more than {MAX_PASSES} uniformization passes")
+    if events > MAX_EVENTS:
+        raise ValueError(f"duration {duration} needs more than {MAX_EVENTS:g} mean uniformized events")
     return math.ceil(math.log2(events / _SERIES_EVENTS)) if events > _SERIES_EVENTS else 0
 
 

@@ -531,14 +531,14 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     (:func:`_level_bounds`).  So after the first readout the block is
     scanned in aligned windows of columns (:func:`_window_width` wide, for
     the rows' mean leave rate ``1 - tmat[k, k]``): every row's uniforms in a
-    window are compared with its level's interval (when at least half the
-    rows share a level, with that level's as scalars, then the rows at other
-    levels again with theirs), a row that leaves is bisected at its first
-    leave, and only those rows are compared again, with their new level,
-    past that column, until no row leaves; the levels carry into the next
-    window.  A row that never leaves (most rows, when readouts are frequent)
-    costs one interval test per readout, and each leave starts a run.
-    :func:`run_ensemble` walks a block of one row instead (:func:`_fine_row`).
+    window are compared with its level's interval (the most common level's
+    as scalars, then the rows at other levels again with theirs), a row
+    that leaves is bisected at its first leave, and only those rows are
+    compared again, with their new level, past that column, until no row
+    leaves; the levels carry into the next window.  A row that never leaves
+    (most rows, when readouts are frequent) costs one interval test per
+    readout, and each leave starts a run.  :func:`run_ensemble` walks a
+    block of one row instead (:func:`_fine_row`).
     """
     n_rows, steps = uniforms.shape
     cum, lower, upper = _level_bounds(tmat)
@@ -551,18 +551,13 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     while start < steps:
         width = min(steps - start, _window_width(n_rows, 1.0 - tmat[level, level].mean()))
         window = uniforms[:, start:start + width]
-        counts = np.bincount(level)
-        common = counts.argmax()
-        if 2 * counts[common] >= n_rows:  # scalar bounds, then the other rows again
-            leave = window < lower[common]
-            leave |= window >= upper[common]  # in place: one fewer window-sized mask
-            other = np.flatnonzero(level != common)
-            if other.size:
-                u, k = window[other], level[other]
-                leave[other] = (u < lower[k, None]) | (u >= upper[k, None])
-        else:
-            leave = window < lower[level, None]
-            leave |= window >= upper[level, None]
+        common = np.bincount(level).argmax()
+        leave = window < lower[common]
+        leave |= window >= upper[common]  # in place: one fewer window-sized mask
+        other = np.flatnonzero(level != common)
+        if other.size:
+            u, k = window[other], level[other]
+            leave[other] = (u < lower[k, None]) | (u >= upper[k, None])
         rows, k = np.arange(n_rows), level
         while True:
             at = leave.argmax(axis=1)

@@ -129,7 +129,7 @@ class TestExitCodes:
             ("--gamma", "1e-320"),  # dt = gdt / gamma overflows
             ("--horizon", "1e300", "--gdt", "1e-10"),  # the step count overflows
             ("--config", "nan.json"),
-            ("--trunc", "1", "--gdt", "2e6", "--horizon", "2e6"),  # past the uniformization pass cap
+            ("--trunc", "1", "--gdt", "2e6", "--horizon", "2e6"),  # past the event cap
         ],
     )
     def test_unrepresentable_value_is_exit_1(self, capsys, monkeypatch, tmp_path, flags):
@@ -139,6 +139,8 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error:")
         assert "Traceback" not in err
+        if "2e6" in flags:
+            assert "more than 1.28e+06 mean uniformized events" in err
 
     def test_unwritable_out_is_exit_1(self, capsys, tmp_path):
         missing = tmp_path / "missing_dir" / "x.csv"

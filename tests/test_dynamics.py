@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qndsim import dynamics
 from qndsim.core import (
-    NORM_TOL,
     BathParams,
     bath_from_gamma,
     build_generator,
@@ -110,19 +109,26 @@ class TestPropagate:
         with pytest.raises(ValueError, match="finite"):
             propagate(gen, pure_level(0, 3), duration)
 
-    def test_passes_are_capped_within_norm_tol(self):
-        # the cap is 10 000 passes of 128 mean uniformized events (1.28e6
-        # events, 20 squarings); the build at the cap keeps its column sums
-        # within NORM_TOL of 1 either way, and a longer duration is refused
-        # before anything is built
-        gen = build_generator(BathParams(0.5, 2.0), 1)  # the fastest level leaves at rate 2
-        at_cap = 10_000 * 128.0 / 2.0
-        assert np.abs(1.0 - transition_matrix(gen, at_cap).sum(axis=0)).max() <= NORM_TOL
+    @pytest.mark.parametrize(
+        "trunc, params",
+        [(1, BathParams(0.5, 2.0)), (40, bath_from_gamma(1.0, 1.0)), (120, bath_from_gamma(1.0, 1.0))],
+        ids=["1", "40", "120"],
+    )
+    def test_events_are_capped(self, trunc, params):
+        # the cap is 1.28e6 mean uniformized events (20 squarings); the build
+        # at the cap keeps its column sums within 5e-10 of 1 either way
+        # (5.7e-12, 1.9e-11 and 1.06e-10 measured at these truncations), and
+        # a longer duration is refused before anything is built
+        gen = build_generator(params, trunc)
+        rate = float(gen.outflow_rates().max())
+        at_cap = 1.28e6 / rate
+        assert rate * at_cap == 1.28e6
+        assert np.abs(1.0 - transition_matrix(gen, at_cap).sum(axis=0)).max() <= 5e-10
         past = np.nextafter(at_cap, math.inf)
-        with pytest.raises(ValueError, match="more than 10000 uniformization passes"):
+        with pytest.raises(ValueError, match=r"more than 1\.28e\+06 mean uniformized events"):
             transition_matrix(gen, past)
-        with pytest.raises(ValueError, match="more than 10000 uniformization passes"):
-            propagate(gen, pure_level(0, 1), past)
+        with pytest.raises(ValueError, match=r"more than 1\.28e\+06 mean uniformized events"):
+            propagate(gen, pure_level(0, trunc), past)
 
     @pytest.mark.parametrize("trunc", [1, 2, 40])
     @pytest.mark.parametrize("events", [0.0, 1e-3, 0.48, 1.0, M])

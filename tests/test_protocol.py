@@ -814,7 +814,7 @@ class TestEnsemble:
             (PARAMS, coarse_partition(20), 0, 12, 40),
             # the level changes at nearly every readout
             (bath_from_gamma(1.0, 5.0), ProjectorPartition.fine(40), 7, 12, 40),
-            # one record spanning many look-ahead windows
+            # one row of 5000 readouts, walked from leave to leave
             (PARAMS, ProjectorPartition.fine(3), 0, 1, 5000),
         ],
         ids=["fine", "block", "coarse", "fine-high-jump", "fine-long"],
