@@ -17,8 +17,9 @@ Layers run at ``gamma = 1`` from level 0, at the settings in their entry
 in blocks cut as ``run_ensemble`` cuts them, one block's runs discarded
 before the next, and take the engine's path for a block of one row: its
 uniforms in chunks (``_row_uniforms``), walked leave to leave
-(``_fine_row``); ``coarse_outcomes`` is the Lüders engine on the partition
-{0} | {1..trunc}, in one block; ``luders_engine`` and ``jump_engine`` are
+(``_fine_row``); ``coarse_outcomes`` is the Lüders engine in one block on
+the partition {0..first_bin-1} | {first_bin..trunc} (``first_bin`` is null
+in every other layer); ``luders_engine`` and ``jump_engine`` are
 ``run_ensemble`` with each engine, the Lüders one on a row too long to
 hold its uniforms at once; ``record`` is ``protocol._runs``, the normalizer that
 every ensemble's runs pass through, on the runs that ``estimate_survival``
@@ -70,8 +71,14 @@ ENGINE_SHAPES = (
 )
 # (truncation, rows, steps) of survival at 25 000 trajectories
 SURVIVAL_SHAPE = (40, 25_000, 100)
-# (truncation, rows, steps) of the benchmark's coarse ensemble
-COARSE_SHAPE = (40, 200, 100)
+# (truncation, rows, steps, n_thermal, gdt, first_bin): the benchmark's coarse
+# ensemble, then 4096 rows on {0} | {1..40}, whose states merge at every
+# readout, at the defaults and with frequent leaves, and on {0, 1} | {2..40},
+# where no bin has one level and nearly every row holds a state of its own
+COARSE_SHAPES = (
+    (40, 200, 100, N_THERMAL, DT, 1), (40, 4_096, 100, N_THERMAL, DT, 1),
+    (40, 4_096, 100, 2.0, 0.1, 1), (40, 4_096, 100, 2.0, 0.1, 2),
+)
 # AC4 and dwell --engine gillespie, then AC5
 JUMP_SHAPES = ((1, 1, 4_000_000), (40, 2_000, 1_000))
 # dwell --trunc 1 --traj 20000000: one row drawn and walked in chunks
@@ -84,7 +91,7 @@ AC5_SHAPE = (40, 2_000, 1_000)
 CROSSOVER_ROWS = 4096
 CROSSOVER_STEPS = (50, 100, 150, 175, 192, 200, 225, 250, 300, 500, 1000)
 WINDOW_ELEMENTS = tuple(2**k for k in range(15, 20))
-SETTINGS = ("trunc", "rows", "steps", "n_thermal", "gdt")
+SETTINGS = ("trunc", "rows", "steps", "n_thermal", "gdt", "first_bin")
 
 
 def _times(fn, repeats: int) -> list[float]:
@@ -167,9 +174,9 @@ def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float):
     return scan
 
 
-def _coarse(trunc: int, n: int, steps: int):
-    tmat = dynamics.transition_matrix(build_generator(PARAMS, trunc), DT)
-    partition = ProjectorPartition(trunc, ((0,), tuple(range(1, trunc + 1))))
+def _coarse(trunc: int, n: int, steps: int, n_thermal: float, gdt: float, first_bin: int):
+    tmat = dynamics.transition_matrix(build_generator(bath_from_gamma(1.0, n_thermal), trunc), gdt)
+    partition = ProjectorPartition(trunc, (tuple(range(first_bin)), tuple(range(first_bin, trunc + 1))))
     uniforms = protocol._uniforms(0, 0, n, steps)
     return partial(protocol._coarse_outcomes, tmat, pure_level(0, trunc), partition, [uniforms])
 
@@ -186,8 +193,8 @@ def _transition(trunc: int, duration: float):
 def _entry(layer: str, shape: tuple, times: list[float], peak_mb: float | None) -> dict:
     low, high = np.percentile(times, (25, 75))
     return {
-        "layer": layer, **dict(zip(SETTINGS, shape)), "median_s": round(statistics.median(times), 5),
-        "iqr_s": round(high - low, 5), "peak_mb": peak_mb,
+        "layer": layer, **dict.fromkeys(SETTINGS), **dict(zip(SETTINGS, shape)),
+        "median_s": round(statistics.median(times), 5), "iqr_s": round(high - low, 5), "peak_mb": peak_mb,
     }
 
 
@@ -201,7 +208,7 @@ def _layers(repeats: int) -> list[dict]:
     record = _ensemble(*DWELL_SHAPE, "gillespie")()
     cases = [("uniforms", (None, n, s, None, None), _uniforms(n, s)) for n, s in UNIFORM_SHAPES]
     cases += [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
-    cases.append(("coarse_outcomes", COARSE_SHAPE + DEFAULTS, _coarse(*COARSE_SHAPE)))
+    cases += [("coarse_outcomes", shape, _coarse(*shape)) for shape in COARSE_SHAPES]
     cases += [("luders_engine", shape + DEFAULTS, _ensemble(*shape)) for shape in LUDERS_SHAPES]
     cases += [("jump_engine", shape + DEFAULTS, _ensemble(*shape, "gillespie")) for shape in JUMP_SHAPES]
     cases += [
@@ -254,7 +261,7 @@ def _window_grid(repeats: int) -> dict:
 
 
 def _key(entry: dict) -> tuple:
-    return (entry["layer"],) + tuple(entry[k] for k in SETTINGS)
+    return (entry["layer"],) + tuple(entry.get(k) for k in SETTINGS)
 
 
 def main(argv: list[str] | None = None) -> int:

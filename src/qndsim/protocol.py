@@ -640,30 +640,57 @@ def _coarse_outcomes(tmat: np.ndarray, pop: PopulationVector, partition: Project
     for a block given as consecutive column ``chunks``: all its rows' uniforms
     as one ``(n_rows, steps)`` chunk, or one row's in ``(1, width)`` pieces.
 
-    The state is an ``(n_rows, L)`` stack of weight rows, carried from chunk
-    to chunk.  Each step relaxes it by a stacked product with ``tmat.T`` (one
-    identical BLAS call per row, so a row's bits do not depend on its batch
-    as they would in a 2-D gemm), takes its
-    :func:`~qndsim.measurement.bin_masses`, samples a bin by right-sided
-    bisection of the step's uniform into their cumulative sums, and applies
-    the Lüders update :func:`~qndsim.measurement.collapse`: a row already
-    inside its bin stays as it is, every other one is zeroed outside the bin
-    and divided by the bin's mass.  The runs start where a row's bin
-    changes, read off a one-byte mask over each dense chunk, and at each
-    chunk's first column (:func:`_runs` joins a run to a same-bin one before
-    it).
+    The state a readout leaves is the forward filter of the level given the
+    outcomes so far, and a collapse onto a bin of one level resets it to
+    that level, so a block holds few distinct states.  The engine carries a
+    table of weight rows and one state id per row, from chunk to chunk.
+    Each step relaxes the table by a stacked product with ``tmat.T`` (one
+    identical BLAS call per state, so a state's bits do not depend on its
+    batch as they would in a 2-D gemm) and takes its
+    :func:`~qndsim.measurement.bin_masses`; each row samples a bin by
+    right-sided bisection of the step's uniform into its state's cumulative
+    masses.  The Lüders update :func:`~qndsim.measurement.collapse` runs once
+    per distinct (state id, bin) pair, found by a dense lookup over ``id *
+    n_bins + bin``: a state already inside its bin stays as it is, every
+    other one is zeroed outside the bin and divided by the bin's mass.  The
+    collapsed pairs are the next table.  Those onto a bin ``{j}`` of one level
+    that leave exactly ``e_j`` (every unsettled one does) merge: their rows
+    share one id, and the other copies go unread and drop out at the next
+    step.  No other states merge, so the table never holds more states than
+    the block holds rows.  The runs start where a row's bin changes, read off
+    a one-byte mask over each dense chunk, and at each chunk's first column
+    (:func:`_runs` joins a run to a same-bin one before it).
     """
-    weights, offset, run_starts, run_bins = pop.weights[None], 0, [], []
+    n_bins = partition.n_bins
+    one_level = np.array([len(b) == 1 for b in partition.bins])
+    first_level = np.array([b[0] for b in partition.bins])
+    states, ids = pop.weights[None], np.zeros(1, dtype=np.intp)
+    offset, run_starts, run_bins = 0, [], []
     for uniforms in chunks:
         n_rows, width = uniforms.shape
-        weights = np.broadcast_to(weights, (n_rows, pop.weights.size))
-        outcomes = np.empty((n_rows, width), dtype=_outcome_dtype(partition.n_bins))
+        ids = np.broadcast_to(ids, n_rows)
+        outcomes = np.empty((n_rows, width), dtype=_outcome_dtype(n_bins))
         for step in range(width):
-            relaxed = (weights[:, None] @ tmat.T)[:, 0]
+            relaxed = (states[:, None] @ tmat.T)[:, 0]
             masses = bin_masses(relaxed, partition)
-            outcome = _bisect(np.cumsum(masses, axis=1), uniforms[:, step], masses[:, -1])
-            weights = collapse(relaxed, partition, outcome, masses[np.arange(n_rows), outcome])
+            cum = np.cumsum(masses, axis=1).take(ids, axis=0)
+            outcome = _bisect(cum, uniforms[:, step], masses[:, -1].take(ids))
             outcomes[:, step] = outcome
+            key = ids * n_bins + outcome
+            lookup = np.zeros(len(states) * n_bins, dtype=np.intp)
+            lookup[key] = 1
+            pairs = np.flatnonzero(lookup)
+            source, observed = np.divmod(pairs, n_bins)
+            states = collapse(relaxed.take(source, axis=0), partition, observed, masses[source, observed])
+            # the pairs that leave e_j exactly, onto a bin {j} of one level, share
+            # one of their rows (any one: they are equal byte for byte); a settled
+            # one keeps its own mass (as on an absorbing level) and stays apart
+            index = np.arange(pairs.size)
+            unit = one_level[observed] & (states[index, first_level[observed]] == 1.0)
+            shared = np.zeros(n_bins, dtype=np.intp)
+            shared[observed[unit]] = index[unit]
+            lookup[pairs] = np.where(unit, shared[observed], index)
+            ids = lookup[key]
         change = np.ones_like(outcomes, dtype=bool)
         np.not_equal(outcomes[:, 1:], outcomes[:, :-1], out=change[:, 1:])
         starts = np.flatnonzero(change)

@@ -177,14 +177,6 @@ class DwellStats:
     interior_dwell_lengths: tuple[np.ndarray, ...]
 
     @property
-    def total_time(self) -> float:
-        return self.steps * self.dt
-
-    @property
-    def time_per_bin(self) -> np.ndarray:
-        return self.counts * self.dt
-
-    @property
     def fractions(self) -> np.ndarray:
         return self.counts / self.steps
 

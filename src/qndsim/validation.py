@@ -370,12 +370,15 @@ def check_ac7(shared: _Shared) -> CriterionResult:
 
 def _shards_concatenate(params, schedule, truncation, n, seed, engine) -> bool:
     """Whether trajectories 0..n/2 and n/2..n, run apart, are bit-identical
-    to trajectories 0..n run as one ensemble."""
+    to trajectories 0..n run as one ensemble: the same runs, the second
+    shard's starts offset by its first row's (no run spans two rows)."""
     whole = run_ensemble(params, schedule, 0, truncation, n, seed, engine=engine)
     k = n // 2
     low = run_ensemble(params, schedule, 0, truncation, k, seed, engine=engine)
     high = run_ensemble(params, schedule, 0, truncation, n - k, seed, engine=engine, first_index=k)
-    return np.array_equal(whole.outcomes, np.concatenate((low.outcomes, high.outcomes)))
+    starts = np.concatenate((low.starts, high.starts + k * schedule.steps))
+    bins = np.concatenate((low.bins, high.bins))
+    return np.array_equal(whole.starts, starts) and np.array_equal(whole.bins, bins)
 
 
 def _output(command, config: RunConfig):

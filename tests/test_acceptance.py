@@ -2,14 +2,17 @@
 line per criterion (run with -s to see them inline), plus the frozen
 reference values for the default configuration."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from qndsim import validation
 from qndsim.config import RunConfig
 from qndsim.core import bath_from_gamma
-from qndsim.protocol import survival_exponential, survival_product
+from qndsim.measurement import ProjectorPartition
+from qndsim.protocol import MeasurementSchedule, survival_exponential, survival_product
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +112,44 @@ def test_rerun_rebuilds_every_transition_matrix(monkeypatch):
 
 def test_ac8_determinism(results):
     report(results["AC8"])
+
+
+def _one_run_changed(ensemble, change):
+    """The ensemble with its last run of two readouts or more that does not
+    start a row moved one readout later, or given a bin neither it nor its
+    neighbours hold."""
+    starts, bins = ensemble.starts.copy(), ensemble.bins.copy()
+    i = np.flatnonzero((ensemble.lengths > 1) & (starts % ensemble.schedule.steps != 0))[-1]
+    if change == "start":
+        starts[i] += 1
+    else:
+        bins[i] = min({0, 1, 2, 3} - set(bins[i - 1:i + 2].tolist()))
+    return dataclasses.replace(ensemble, starts=starts, bins=bins)
+
+
+@pytest.mark.parametrize("change", ["start", "bin"])
+@pytest.mark.parametrize("engine", ["luders", "gillespie"])
+def test_ac8_shards_catch_a_one_run_difference(monkeypatch, engine, change):
+    # AC8's shard check compares runs, never expanding a dense record, and
+    # fails when the second shard differs from the whole in a single run
+    params = bath_from_gamma(1.0, 0.1)
+    schedule = MeasurementSchedule(0.01, 200, ProjectorPartition.fine(40))
+    run, made = validation.run_ensemble, []
+
+    def recorded(*args, **kwargs):
+        made.append(run(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(validation, "run_ensemble", recorded)
+    assert validation._shards_concatenate(params, schedule, 40, 400, 0, engine)
+    assert len(made) == 3 and not any("outcomes" in vars(e) for e in made)
+
+    def faulty(*args, first_index=0, **kwargs):
+        ensemble = run(*args, first_index=first_index, **kwargs)
+        return _one_run_changed(ensemble, change) if first_index else ensemble
+
+    monkeypatch.setattr(validation, "run_ensemble", faulty)
+    assert not validation._shards_concatenate(params, schedule, 40, 400, 0, engine)
 
 
 def test_validate_report_renders_all_pass(results):

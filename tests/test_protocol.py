@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qndsim import protocol
 from qndsim.core import BathParams, bath_from_gamma, build_generator, pure_level, thermal_populations
 from qndsim.dynamics import transition_matrix, two_level_population
-from qndsim.measurement import ProjectorPartition, ZeroProbabilityError, bin_masses
+from qndsim.measurement import ProjectorPartition, ZeroProbabilityError, bin_masses, collapse
 from qndsim.protocol import (
     MeasurementSchedule,
     ZenoDomainWarning,
@@ -210,13 +210,14 @@ class TestLudersEngine:
             assert abs(freq - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / n)
 
     @pytest.mark.parametrize(
-        "params,partition,dt,initial,digest",
+        "params,partition,dt,initial,shape,digest",
         [
             (
                 PARAMS,
                 coarse_partition(40),
                 0.01,
                 0,
+                (200, 100, 4096),
                 "8c8e7dfff8c3fcdee4844019ecee56bb3d2ead0b840a625e1b7a83970db0a969",
             ),
             (
@@ -224,17 +225,65 @@ class TestLudersEngine:
                 ProjectorPartition(40, ((0,), (1, 2, 3), tuple(range(4, 41)))),
                 0.3,
                 thermal_populations(bath_from_gamma(1.0, 2.0), 40),
+                (200, 100, 4096),
                 "e91c0e3c45c36c49ef775efad357f26e7b7f680173c69d3967d87ee4e19b2961",
             ),
+            # no bin of one level: no two rows' states merge, and nearly every
+            # row holds a state of its own
+            (
+                bath_from_gamma(1.0, 2.0),
+                ProjectorPartition(40, ((0, 1), tuple(range(2, 41)))),
+                0.1,
+                0,
+                (4096, 100, 4096),
+                "c3160bf637e00b4c9ecf461a5a31f64b37838093801cb3b9e426f2133281b47b",
+            ),
+            # states merge on {0} at every readout
+            (
+                bath_from_gamma(1.0, 2.0),
+                coarse_partition(40),
+                0.1,
+                0,
+                (4096, 100, 4096),
+                "0746f65e43ff784139657ec81757bfe49f3851e14cc336c06ba0d769408c277b",
+            ),
+            # one row in chunks of 2 * VECTOR_STEPS uniforms, its states carried across them
+            (
+                bath_from_gamma(1.0, 2.0),
+                ProjectorPartition(40, ((0,), (1, 2, 3), tuple(range(4, 41)))),
+                0.3,
+                thermal_populations(bath_from_gamma(1.0, 2.0), 40),
+                (1, 2000, 2),
+                "4d45d2a502f4c5ea5d6c03caa7b4e2b79c5069da6879112eb4cfeeb14df55238",
+            ),
         ],
-        ids=["empty-or-not", "three-bins"],
+        ids=["empty-or-not", "three-bins", "pair-or-above-often", "empty-or-not-often", "three-bins-row"],
     )
-    def test_coarse_outcomes_are_pinned(self, params, partition, dt, initial, digest):
-        # outcomes of the per-level column loop this engine replaced, 200 x 100 at seed 0
-        sched = MeasurementSchedule(dt, 100, partition)
-        outcomes = run_ensemble(params, sched, initial, 40, 200, 0).outcomes
-        assert outcomes.dtype == np.int16 and outcomes.shape == (200, 100)
+    def test_coarse_outcomes_are_pinned(self, monkeypatch, params, partition, dt, initial, shape, digest):
+        # outcomes at seed 0 of the per-level column loop this engine replaced
+        # (200 x 100), and of the per-row stack after it (4096 x 100 and the row)
+        n_traj, steps, block_rows = shape
+        monkeypatch.setattr(protocol, "BLOCK_ROWS", block_rows)
+        assert n_traj > 1 or steps > protocol.BLOCK_ROWS * protocol.VECTOR_STEPS
+        sched = MeasurementSchedule(dt, steps, partition)
+        outcomes = run_ensemble(params, sched, initial, 40, n_traj, 0).outcomes
+        assert outcomes.dtype == np.int16 and outcomes.shape == (n_traj, steps)
         assert hashlib.sha256(outcomes.tobytes()).hexdigest() == digest
+
+    def test_coarse_states_are_collapsed_once_per_distinct_pair(self, monkeypatch):
+        # at the defaults few rows ever leave {0}, and a collapse onto {0}
+        # resets a row to e_0: 4096 rows hold at most 93 distinct states.
+        # Stepping row by row (4096) or never merging the e_0 rows (264) fails.
+        sizes = []
+
+        def recorder(weights, *args):
+            sizes.append(len(weights))
+            return collapse(weights, *args)
+
+        monkeypatch.setattr(protocol, "collapse", recorder)
+        sched = MeasurementSchedule(0.01, 100, coarse_partition(40))
+        run_ensemble(PARAMS, sched, 0, 40, 4096, 0)
+        assert len(sizes) == 100 and max(sizes) <= 128
 
     @pytest.mark.parametrize(
         "trunc,n_traj,steps,n_thermal,gdt,digest",

@@ -1,6 +1,7 @@
 """Importing the package and running the non-validation commands must not
 import scipy: ``scipy.stats`` costs about a second of start-up and is needed
-only by ``stats.ks_distance``."""
+only by ``stats.ks_distance``.  Nor may an engine import ``numpy.ma`` (as
+``np.unique`` does under numpy 2.4), about 1 MB of resident memory."""
 
 import os
 import subprocess
@@ -20,6 +21,13 @@ from qndsim.config import RunConfig
 assert cli.main(["thermal"]) == 0
 cli.cmd_survival(RunConfig(traj=200, trunc=1, horizon=0.1))
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+from qndsim import MeasurementSchedule, ProjectorPartition, bath_from_gamma, run_ensemble
+
+coarse = MeasurementSchedule(0.1, 20, ProjectorPartition(4, ((0,), (1, 2), (3, 4))))
+run_ensemble(bath_from_gamma(1.0, 2.0), coarse, 0, 4, 50, 0)
+run_ensemble(bath_from_gamma(1.0, 2.0), coarse, 0, 4, 1, 0)
+assert "numpy.ma" not in sys.modules
 
 import numpy as np
 from qndsim.stats import ks_distance

@@ -191,7 +191,7 @@ class TestFitDecay:
 class TestDwellStatistics:
     def test_run_length_encoding(self):
         dwell = dwell_statistics(make_ensemble([0, 0, 1, 1, 1, 0], dt=1.0))
-        assert dwell.time_per_bin == pytest.approx([3.0, 3.0])
+        assert (dwell.counts * dwell.dt).tolist() == [3.0, 3.0]
         assert dwell.dwell_lengths[0].tolist() == [2, 1]
         assert dwell.dwell_lengths[1].tolist() == [3]
         # boundary runs are censored by the record edges
@@ -207,7 +207,7 @@ class TestDwellStatistics:
         record = make_ensemble([0, 1, 1, 0, 0, 0, 1, 0], dt=0.25)
         dwell = dwell_statistics(record)
         assert dwell.counts.sum() == record.outcomes.size
-        assert dwell.total_time == record.outcomes.size * 0.25
+        assert dwell.steps == record.outcomes.size and dwell.dt == 0.25
         assert sum(lengths.sum() for lengths in dwell.dwell_lengths) == record.outcomes.size
         assert dwell.fractions.sum() == 1.0
 
