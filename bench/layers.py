@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from qndsim import dynamics, protocol, stats
+from qndsim import dynamics, protocol, stats, streams
 from qndsim.core import bath_from_gamma, build_generator, pure_level
 from qndsim.measurement import ProjectorPartition
 
@@ -117,14 +117,14 @@ def _peak_mb(fn) -> float:
 
 
 @contextmanager
-def _forced(name: str, value: int):
-    """``protocol.<name>`` set to ``value`` for the duration of the block."""
-    saved = getattr(protocol, name)
-    setattr(protocol, name, value)
+def _forced(module, name: str, value: int):
+    """``module.<name>`` set to ``value`` for the duration of the block."""
+    saved = getattr(module, name)
+    setattr(module, name, value)
     try:
         yield
     finally:
-        setattr(protocol, name, saved)
+        setattr(module, name, saved)
 
 
 def _machine() -> dict:
@@ -140,7 +140,7 @@ def _machine() -> dict:
 
 def _blocks(n: int, steps: int) -> list[tuple[int, int]]:
     """(first row, rows) of each block, cut as ``run_ensemble`` cuts them."""
-    rows = protocol._block_rows(steps)
+    rows = streams._block_rows(steps)
     return [(start, min(rows, n - start)) for start in range(0, n, rows)]
 
 
@@ -148,10 +148,10 @@ def _uniforms(n: int, steps: int):
     def draw():
         for start, rows in _blocks(n, steps):
             if rows == 1:
-                for _ in protocol._row_uniforms(0, start, steps):
+                for _ in streams._row_uniforms(0, start, steps):
                     pass
             else:
-                protocol._uniforms(0, start, rows, steps)
+                streams._uniforms(0, start, rows, steps)
     return draw
 
 
@@ -160,8 +160,8 @@ def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float):
     pop = pure_level(0, trunc)
     # a block of one row as its chunks, each copied (the draw reuses one buffer)
     blocks = [
-        [chunk.copy() for chunk in protocol._row_uniforms(0, start, steps)] if rows == 1
-        else protocol._uniforms(0, start, rows, steps)
+        [chunk.copy() for chunk in streams._row_uniforms(0, start, steps)] if rows == 1
+        else streams._uniforms(0, start, rows, steps)
         for start, rows in _blocks(n, steps)
     ]
 
@@ -177,7 +177,7 @@ def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float):
 def _coarse(trunc: int, n: int, steps: int, n_thermal: float, gdt: float, first_bin: int):
     tmat = dynamics.transition_matrix(build_generator(bath_from_gamma(1.0, n_thermal), trunc), gdt)
     partition = ProjectorPartition(trunc, (tuple(range(first_bin)), tuple(range(first_bin, trunc + 1))))
-    uniforms = protocol._uniforms(0, 0, n, steps)
+    uniforms = streams._uniforms(0, 0, n, steps)
     return partial(protocol._coarse_outcomes, tmat, pure_level(0, trunc), partition, [uniforms])
 
 
@@ -232,15 +232,15 @@ def _layers(repeats: int) -> list[dict]:
 def _crossover(repeats: int) -> dict:
     rows = []
     for steps in CROSSOVER_STEPS:
-        draw, row = partial(protocol._uniforms, 0, 0, CROSSOVER_ROWS, steps), {"steps": steps}
+        draw, row = partial(streams._uniforms, 0, 0, CROSSOVER_ROWS, steps), {"steps": steps}
         for name, vector_steps in (("vector_s", sys.maxsize), ("generator_s", 0)):
-            with _forced("VECTOR_STEPS", vector_steps):
+            with _forced(streams, "VECTOR_STEPS", vector_steps):
                 row[name] = _median_s(draw, repeats)
         rows.append(row)
     wins = [r["steps"] for r in rows if r["vector_s"] < r["generator_s"]]
     return {
         "rows": CROSSOVER_ROWS,
-        "vector_steps": protocol.VECTOR_STEPS,
+        "vector_steps": streams.VECTOR_STEPS,
         "largest_step_count_where_vector_wins": max(wins, default=None),
         "table": rows,
     }
@@ -253,7 +253,7 @@ def _window_grid(repeats: int) -> dict:
     for shape in (shape for shape in ENGINE_SHAPES if shape[1] > 1):
         run, median_s = _engine(*shape), {}
         for value in WINDOW_ELEMENTS:
-            with _forced("_WINDOW_ELEMENTS", value):
+            with _forced(protocol, "_WINDOW_ELEMENTS", value):
                 median_s[value] = _median_s(run, repeats)
         best = min(median_s, key=median_s.get)
         rows.append({**dict(zip(SETTINGS, shape)), "median_s": median_s, "best": best})

@@ -14,24 +14,24 @@ from .core import (
     thermal_populations,
     thermal_tail_mass,
 )
-from .dynamics import mean_relaxation, propagate, transition_matrix, two_level_population
+from .dynamics import (
+    ZenoDomainWarning,
+    ZenoReport,
+    mean_relaxation,
+    propagate,
+    survival_exponential,
+    survival_product,
+    transition_matrix,
+    two_level_population,
+    zeno_times,
+)
 from .measurement import (
     ProjectorPartition,
     ZeroProbabilityError,
     luders_collapse,
     outcome_probabilities,
 )
-from .protocol import (
-    SEED_DERIVATION,
-    Ensemble,
-    MeasurementSchedule,
-    ZenoDomainWarning,
-    ZenoReport,
-    run_ensemble,
-    survival_exponential,
-    survival_product,
-    zeno_times,
-)
+from .protocol import Ensemble, MeasurementSchedule, run_ensemble
 from .stats import (
     DwellStats,
     FitError,
@@ -44,6 +44,7 @@ from .stats import (
     ks_distance,
     time_average,
 )
+from .streams import SEED_DERIVATION
 
 __all__ = [
     "BathParams",

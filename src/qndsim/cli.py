@@ -23,18 +23,17 @@ import numpy as np
 from . import __version__
 from .config import ENGINES, MODES, ConfigError, RunConfig, load_config
 from .core import build_generator, mean_photon, pure_level, thermal_populations
-from .dynamics import mean_relaxation, transition_matrix
-from .measurement import ProjectorPartition, ZeroProbabilityError
-from .protocol import (
-    SEED_DERIVATION,
+from .dynamics import (
     ZENO_SWEEP,
-    MeasurementSchedule,
     ZenoDomainWarning,
-    run_ensemble,
+    mean_relaxation,
     survival_exponential,
     survival_product,
+    transition_matrix,
     zeno_times,
 )
+from .measurement import ProjectorPartition, ZeroProbabilityError
+from .protocol import MeasurementSchedule, run_ensemble
 from .stats import (
     FitError,
     dwell_statistics,
@@ -43,6 +42,7 @@ from .stats import (
     fit_level1_product,
     two_level_curve,
 )
+from .streams import SEED_DERIVATION
 
 
 def _fmt(value) -> str:

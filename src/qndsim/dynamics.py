@@ -1,5 +1,6 @@
-"""Relaxation dynamics: exact-chain propagation of population vectors and
-the closed-form mean/two-level relaxation laws.
+"""Relaxation dynamics: exact-chain propagation of population vectors, the
+closed-form mean/two-level relaxation laws, and the survival and
+partial-Zeno laws of repeated measurement built on the two-level one.
 
 Two evolution modes exist side by side and are never mixed implicitly:
 
@@ -14,11 +15,19 @@ Two evolution modes exist side by side and are never mixed implicitly:
   ``B_a + B_e`` instead, so the two modes differ at first order in
   ``n_thermal``; quantifying that gap is part of this package's job, which
   is why both are exposed.
+
+Under readouts every dt a level survives with the two-level population per
+interval: :func:`survival_product` is that population to the m-th power,
+:func:`survival_exponential` its quasicontinuous limit, and
+:func:`zeno_times` the persistence times it implies.  The trajectory
+engines of :mod:`qndsim.protocol` are checked against these laws.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,6 +123,14 @@ def mean_relaxation(params: BathParams, n0: float, t: float) -> float:
     return nth + (n0 - nth) * math.exp(-params.gamma * t)
 
 
+def _other_weight(params: BathParams, k: int) -> float:
+    """Thermal weight of the level opposite k: ``n_thermal`` for k = 0,
+    ``1 - n_thermal`` for k = 1."""
+    if k not in (0, 1):
+        raise ValueError(f"k must be 0 or 1, got {k}")
+    return params.n_thermal if k == 0 else 1.0 - params.n_thermal
+
+
 def two_level_population(params: BathParams, k: int, t: float) -> float:
     """Analytic two-level survival-style population ``w_k(t)`` starting from
     ``w_k(0) = 1``:  ``1 - c*(1 - exp(-gamma*t))`` where c is the thermal
@@ -123,9 +140,69 @@ def two_level_population(params: BathParams, k: int, t: float) -> float:
     This is the analytic mode: it decays at gamma, not at the exact
     two-level rate ``B_a + B_e``.  Meaningful for ``n_thermal < 1``.
     """
-    if k not in (0, 1):
-        raise ValueError(f"k must be 0 or 1, got {k}")
+    other_weight = _other_weight(params, k)
     if t < 0.0:
         raise ValueError(f"time must be non-negative, got {t}")
-    other_weight = params.n_thermal if k == 0 else 1.0 - params.n_thermal
     return 1.0 - other_weight * -math.expm1(-params.gamma * t)
+
+
+class ZenoDomainWarning(UserWarning):
+    """Persistence-time ordering degenerates (n_thermal outside (0, 1))."""
+
+
+@dataclass(frozen=True)
+class ZenoReport:
+    """Free relaxation time tau = 1/gamma against the persistence times
+    tau_k = tau / (thermal weight of the opposite level)."""
+
+    tau: float
+    tau_0: float
+    tau_1: float
+    slowdown_0: float
+    slowdown_1: float
+
+
+# Sampling intervals gamma*dt of the quasicontinuity sweep (zeno, AC6).
+ZENO_SWEEP = (0.1, 0.01, 0.001)
+
+
+def survival_product(params: BathParams, k: int, dt: float, steps: int) -> float:
+    """Probability that ``steps`` consecutive measurements spaced ``dt`` apart
+    all return level k, starting from pure level k: the single-interval
+    analytic population raised to the m-th power."""
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    return two_level_population(params, k, dt) ** steps
+
+
+def survival_exponential(params: BathParams, k: int, t: float) -> float:
+    """Quasicontinuous limit of :func:`survival_product`: ``exp(-t/tau_k)``
+    with tau_k the partial-Zeno persistence time."""
+    other_weight = _other_weight(params, k)
+    if t < 0.0:
+        raise ValueError(f"time must be non-negative, got {t}")
+    return math.exp(-other_weight * params.gamma * t)
+
+
+def zeno_times(params: BathParams) -> ZenoReport:
+    """Persistence times under repeated measurement vs the free relaxation
+    time.
+
+    ``tau_k = 1/(c_k*gamma)`` with c_0 = n_thermal and c_1 = 1 - n_thermal;
+    both exceed tau = 1/gamma exactly when 0 < n_thermal < 1.  Outside that
+    range the ordering degenerates: a :class:`ZenoDomainWarning` is emitted
+    and the raw values are reported unclipped (tau_0 is infinite at
+    n_thermal = 0, tau_1 infinite at n_thermal = 1 and negative above).
+    """
+    nth = params.n_thermal
+    gamma = params.gamma
+    if nth >= 1.0:
+        warnings.warn(
+            f"n_thermal = {nth:g} >= 1: tau_1 is not a slowdown", ZenoDomainWarning, stacklevel=2
+        )
+    elif nth == 0.0:
+        warnings.warn("n_thermal = 0: level 0 never decays", ZenoDomainWarning, stacklevel=2)
+    tau = 1.0 / gamma
+    tau_0 = math.inf if nth == 0.0 else 1.0 / (nth * gamma)
+    tau_1 = math.inf if nth == 1.0 else 1.0 / ((1.0 - nth) * gamma)
+    return ZenoReport(tau, tau_0, tau_1, tau_0 / tau, tau_1 / tau)

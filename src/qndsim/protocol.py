@@ -1,6 +1,5 @@
 """Quasicontinuous measurement protocol: repeated projective readout of a
-relaxing oscillator, as Monte Carlo trajectory engines and as the analytic
-survival / partial-Zeno formulas.
+relaxing oscillator, as Monte Carlo trajectory engines.
 
 Two independently built engines realize the same stochastic process:
 
@@ -12,41 +11,32 @@ Two independently built engines realize the same stochastic process:
 Their statistical agreement is itself one of the package's deliverable
 checks.  Reproducibility contract: trajectory i of an ensemble draws from a
 private stream derived as ``SeedSequence((master_seed, i))`` feeding PCG64
-(see :data:`SEED_DERIVATION`), and no trajectory's arithmetic depends on the
+(see :mod:`qndsim.streams`), and no trajectory's arithmetic depends on the
 others in its batch, so an ensemble split into ``first_index`` shards
-concatenates bit-identically to the unsplit run.
+concatenates bit-identically to the unsplit run.  The closed-form survival
+and partial-Zeno laws the engines are checked against are in
+:mod:`qndsim.dynamics`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import streams
 from .core import BathParams, PopulationVector, build_generator, pure_level
-from .dynamics import transition_matrix, two_level_population
+from .dynamics import transition_matrix
 from .measurement import ProjectorPartition, ZeroProbabilityError, bin_masses, collapse
-
-# Documented stream-derivation mixer; echoed in CLI output metadata.
-SEED_DERIVATION = "numpy SeedSequence((master_seed, trajectory_index)) -> PCG64"
 
 # Trajectory engines of run_ensemble: the measurement loop and the jump process.
 ENGINES = ("luders", "gillespie")
-
-# Trajectories sampled together, for rows of at most VECTOR_STEPS steps;
-# longer rows come in proportionally fewer (:func:`_block_rows`), and a row
-# longer still alone, drawn in chunks (:func:`_row_uniforms`).  So no block
-# holds more than BLOCK_ROWS * VECTOR_STEPS uniforms at once, which bounds
-# every working array of the Lüders engine whatever the ensemble size.
-BLOCK_ROWS = 4096
-
-
-class ZenoDomainWarning(UserWarning):
-    """Persistence-time ordering degenerates (n_thermal outside (0, 1))."""
+# A fine Lüders window's numpy calls cost about as much as testing this many
+# uniforms (_window_width): 2**16 and 2**17 timed best on a 2-vCPU Xeon VM.
+_WINDOW_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -124,251 +114,6 @@ def _runs(starts, bins, n_rows: int, steps: int) -> tuple[np.ndarray, np.ndarray
     return starts[keep], bins[keep]
 
 
-@dataclass(frozen=True)
-class ZenoReport:
-    """Free relaxation time tau = 1/gamma against the persistence times
-    tau_k = tau / (thermal weight of the opposite level)."""
-
-    tau: float
-    tau_0: float
-    tau_1: float
-    slowdown_0: float
-    slowdown_1: float
-
-
-# numpy.random.SeedSequence's hash constants (pool of four uint32 words) and
-# the multiplier of PCG64's 128-bit LCG (O'Neill 2014).
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-# Rows of at most this many steps are drawn by PCG64 in numpy arithmetic,
-# longer ones by a per-row Generator: the numpy draw costs more per double
-# but saves the Generator's fixed cost per row.  bench/layers.py measures
-# the crossover (150 steps at 4096 rows on a 2-vCPU Xeon VM).
-VECTOR_STEPS = 192
-# A fine Lüders window's numpy calls cost about as much as testing this many
-# uniforms (_window_width): 2**16 and 2**17 timed best on a 2-vCPU Xeon VM.
-_WINDOW_ELEMENTS = 1 << 17
-# The numpy draw fills (rows, width) tiles of about _TILE_ELEMENTS, with the
-# fewest tiles of at most _TILE_WIDTH steps per row, all of one width.
-_TILE_WIDTH = 16
-_TILE_ELEMENTS = 1 << 14
-
-
-def _int_words(value: int) -> list[int]:
-    """SeedSequence's little-endian uint32 words of a non-negative integer."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _seed_pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence.mix_entropy`` applied column-wise: ``entropy[j][r]`` is
-    word j of row r's entropy, and every row has the same word count."""
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[j] if j < len(entropy) else zero) for j in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool
-
-
-def _seed_words(master_seed: int, first_index: int, n: int) -> np.ndarray:
-    """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for
-    ``i = first_index .. first_index + n - 1``, as an ``(n, 4)`` array."""
-    if master_seed < 0 or first_index < 0:
-        raise ValueError("master_seed and trajectory_index must be non-negative")
-    if first_index + n > 1 << 64:
-        raise ValueError("trajectory indices must be below 2**64")
-    index = np.uint64(first_index) + np.arange(n, dtype=np.uint64)
-    low = (index & np.uint64(_MASK32)).astype(np.uint32)
-    high = (index >> np.uint64(32)).astype(np.uint32)
-    master = [np.full(n, w, dtype=np.uint32) for w in _int_words(master_seed)]
-    # An index below 2**32 is one entropy word, a larger one two.
-    split = min(n, max(0, (1 << 32) - first_index))
-    pools = [
-        _seed_pool([w[rows] for w in master + words])
-        for rows, words in ((slice(0, split), [low]), (slice(split, n), [low, high]))
-        if rows.start < rows.stop
-    ]
-    pool = [np.concatenate([p[j] for p in pools]) for j in range(_POOL_SIZE)]
-    hash_const = _INIT_B
-    state = []
-    for j in range(2 * 4):
-        value = pool[j % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    return np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)], axis=1)
-
-
-# 128-bit integers in numpy: a (high, low) pair of uint64 arrays or scalars.
-# Every operand is uint64, so the arithmetic wraps mod 2**64 the same way
-# under numpy 1.x value-based casting and numpy 2 (NEP 50) promotion.
-_LOW32 = np.uint64(_MASK32)
-_SHIFT32 = np.uint64(32)
-_MULT = tuple(np.uint64(v) for v in divmod(_PCG64_MULT, 1 << 64))
-
-
-def _u128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Python integers mod 2**128 as a 128-bit pair of arrays."""
-    high, low = zip(*(divmod(v & _MASK128, 1 << 64) for v in values))
-    return np.array(high, dtype=np.uint64), np.array(low, dtype=np.uint64)
-
-
-def _mulhi64(a, b):
-    """High 64 bits of the 128-bit product of uint64s ``a * b``, from 32-bit
-    limbs (Warren, Hacker's Delight, mulhu)."""
-    a0, a1 = a & _LOW32, a >> _SHIFT32
-    b0, b1 = b & _LOW32, b >> _SHIFT32
-    t = a1 * b0 + (a0 * b0 >> _SHIFT32)
-    w = (t & _LOW32) + a0 * b1
-    return a1 * b1 + (t >> _SHIFT32) + (w >> _SHIFT32)
-
-
-def _mul128(x, y):
-    """``x * y mod 2**128``; never both scalars (numpy warns when a scalar
-    product wraps)."""
-    (xh, xl), (yh, yl) = x, y
-    return _mulhi64(xl, yl) + xl * yh + xh * yl, xl * yl
-
-
-def _add128(x, y):
-    """``x + y mod 2**128``."""
-    (xh, xl), (yh, yl) = x, y
-    low = xl + yl
-    return xh + yh + (low < yl), low
-
-
-def _srandom(words: np.ndarray):
-    """PCG64's seeding from :func:`_seed_words` rows ``(initstate high, low,
-    initseq high, low)``: ``inc = 2*initseq + 1`` and ``state = (initstate +
-    inc) * mult + inc``.  Returns ``(state, inc)`` as 128-bit pairs."""
-    seq_high, seq_low = words[:, 2], words[:, 3]
-    inc = (seq_high << np.uint64(1) | seq_low >> np.uint64(63), seq_low << np.uint64(1) | np.uint64(1))
-    state = _add128(_mul128(_add128((words[:, 0], words[:, 1]), inc), _MULT), inc)
-    return state, inc
-
-
-# A_k = mult**k and C_k = sum_{j<k} mult**j for k = 1.._TILE_WIDTH: k steps
-# of the LCG take state s to A_k*s + C_k*inc (Brown 1994).
-_JUMP_A = _u128([_PCG64_MULT**k for k in range(1, _TILE_WIDTH + 1)])
-_JUMP_C = _u128([sum(_PCG64_MULT**j for j in range(k)) for k in range(1, _TILE_WIDTH + 1)])
-
-
-def _doubles(state) -> np.ndarray:
-    """PCG64's XSL-RR output of each state, as ``Generator.random`` doubles."""
-    high, low = state
-    value = high ^ low
-    rot = high >> np.uint64(58)
-    value = value >> rot | value << ((np.uint64(64) - rot) & np.uint64(63))
-    return (value >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-
-
-def _streams(master_seed: int, first_index: int, n: int):
-    """One reused Generator, set in turn to the stream of each trajectory
-    ``first_index .. first_index + n - 1``.
-
-    Contract: the k-th Generator yielded, however it is drawn from, produces
-    bit for bit what ``np.random.Generator(np.random.PCG64(
-    np.random.SeedSequence((master_seed, first_index + k))))`` would.  Its
-    state comes from the same vectorized :func:`_srandom` as the numpy draw
-    of :func:`_uniforms`.
-    """
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for start in range(0, n, BLOCK_ROWS):
-        state, inc = _srandom(_seed_words(master_seed, first_index + start, min(BLOCK_ROWS, n - start)))
-        for state_high, state_low, inc_high, inc_low in np.stack(state + inc, axis=1).tolist():
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
-
-
-def _row_uniforms(master_seed: int, index: int, steps: int):
-    """Trajectory ``index``'s first ``steps`` uniforms, in consecutive chunks
-    of at most ``BLOCK_ROWS * VECTOR_STEPS``, each drawn by the row's
-    Generator (:func:`_streams`) into one reused buffer: a chunk is
-    overwritten by the next.  Chunked ``Generator.random`` calls give the
-    same doubles as one call."""
-    rng = next(_streams(master_seed, index, 1))
-    buffer = np.empty(min(steps, BLOCK_ROWS * VECTOR_STEPS))
-    for start in range(0, steps, buffer.size):
-        chunk = buffer[: steps - start]
-        rng.random(out=chunk)
-        yield chunk
-
-
-def _uniforms(master_seed: int, first_index: int, n: int, steps: int) -> np.ndarray:
-    """``(n, steps)`` array whose row r is the first ``steps`` uniforms of
-    trajectory ``first_index + r``'s stream.
-
-    Contract: row r is bit for bit ``.random(steps)`` of the Generator
-    ``np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed,
-    first_index + r))))``, for every n, steps and index range.  Rows of more
-    than :data:`VECTOR_STEPS` steps are drawn by a per-row Generator
-    (:func:`_streams`).  Shorter ones run PCG64 in numpy over the whole block
-    without a loop over rows: ``(rows, w)`` tiles whose first is
-    ``A_k*s0 + C_k*inc`` for k = 1..w, each later one the previous stepped by
-    the constant ``s -> A_w*s + C_w*inc``.  A row takes the fewest tiles of
-    at most :data:`_TILE_WIDTH` steps, ``t = ceil(steps / 16)``, all of
-    width ``w = ceil(steps / t)``, so its last tile steps the LCG fewer than
-    t times past the row's end (100 steps: 7 tiles of 15, not 7 of 16).
-    """
-    out = np.empty((n, steps))
-    if steps > VECTOR_STEPS:
-        for row, rng in zip(out, _streams(master_seed, first_index, n)):
-            rng.random(out=row)
-        return out
-    state, inc = _srandom(_seed_words(master_seed, first_index, n))
-    tiles = -(-steps // _TILE_WIDTH)
-    width = -(-steps // tiles)
-    jump_a, jump_c = ((high[:width], low[:width]) for high, low in (_JUMP_A, _JUMP_C))
-    step_a, step_c = ((high[width - 1], low[width - 1]) for high, low in (_JUMP_A, _JUMP_C))
-    tile_rows = max(1, _TILE_ELEMENTS // width)
-    for start in range(0, n, tile_rows):
-        rows = slice(start, start + tile_rows)
-        seed = tuple(s[rows, None] for s in state)
-        row_inc = tuple(i[rows, None] for i in inc)
-        tile = _add128(_mul128(seed, jump_a), _mul128(row_inc, jump_c))
-        shift = _mul128(row_inc, step_c)
-        for col in range(0, steps, width):
-            if col:
-                tile = _add128(_mul128(tile, step_a), shift)
-            stop = min(col + width, steps)
-            out[rows, col:stop] = _doubles(tuple(t[:, : stop - col] for t in tile))
-    return out
-
-
 def _as_population(initial: PopulationVector | int, truncation: int) -> PopulationVector:
     if isinstance(initial, PopulationVector):
         if initial.truncation != truncation:
@@ -432,54 +177,6 @@ def _read_out(jump_times, levels: np.ndarray, path_levels, dt: float, steps: int
     starts = (np.cumsum(head) - 1) * steps  # each entry's row * steps
     starts[~head] += np.clip(k - 1, 0, steps).astype(np.intp)
     return starts, levels
-
-
-# Sampling intervals gamma*dt of the quasicontinuity sweep (zeno, AC6).
-ZENO_SWEEP = (0.1, 0.01, 0.001)
-
-
-def survival_product(params: BathParams, k: int, dt: float, steps: int) -> float:
-    """Probability that ``steps`` consecutive measurements spaced ``dt`` apart
-    all return level k, starting from pure level k: the single-interval
-    analytic population raised to the m-th power."""
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    return two_level_population(params, k, dt) ** steps
-
-
-def survival_exponential(params: BathParams, k: int, t: float) -> float:
-    """Quasicontinuous limit of :func:`survival_product`: ``exp(-t/tau_k)``
-    with tau_k the partial-Zeno persistence time."""
-    if k not in (0, 1):
-        raise ValueError(f"k must be 0 or 1, got {k}")
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    other_weight = params.n_thermal if k == 0 else 1.0 - params.n_thermal
-    return math.exp(-other_weight * params.gamma * t)
-
-
-def zeno_times(params: BathParams) -> ZenoReport:
-    """Persistence times under repeated measurement vs the free relaxation
-    time.
-
-    ``tau_k = 1/(c_k*gamma)`` with c_0 = n_thermal and c_1 = 1 - n_thermal;
-    both exceed tau = 1/gamma exactly when 0 < n_thermal < 1.  Outside that
-    range the ordering degenerates: a :class:`ZenoDomainWarning` is emitted
-    and the raw values are reported unclipped (tau_0 is infinite at
-    n_thermal = 0, tau_1 infinite at n_thermal = 1 and negative above).
-    """
-    nth = params.n_thermal
-    gamma = params.gamma
-    if nth >= 1.0:
-        warnings.warn(
-            f"n_thermal = {nth:g} >= 1: tau_1 is not a slowdown", ZenoDomainWarning, stacklevel=2
-        )
-    elif nth == 0.0:
-        warnings.warn("n_thermal = 0: level 0 never decays", ZenoDomainWarning, stacklevel=2)
-    tau = 1.0 / gamma
-    tau_0 = math.inf if nth == 0.0 else 1.0 / (nth * gamma)
-    tau_1 = math.inf if nth == 1.0 else 1.0 / ((1.0 - nth) * gamma)
-    return ZenoReport(tau, tau_0, tau_1, tau_0 / tau, tau_1 / tau)
 
 
 def _window_width(n_rows: int, leave_rate: float) -> int:
@@ -581,7 +278,7 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
 def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarray, np.ndarray]:
     """Maximal runs (:class:`Ensemble`) of one row of the measurement loop
     under a fine partition, its uniforms given as consecutive ``chunks`` of
-    at most ``BLOCK_ROWS * VECTOR_STEPS``.
+    at most ``streams.BLOCK_ROWS * streams.VECTOR_STEPS``.
 
     The row is walked from leave to leave.  The readouts where level k
     leaves (its uniform outside k's interval, :func:`_level_bounds`) come
@@ -599,7 +296,7 @@ def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarr
     n_levels = tmat.shape[0]
     cum, lower, upper = _level_bounds(tmat)
     columns, top_mass = cum.tolist(), tmat[-1].tolist()
-    size = BLOCK_ROWS * VECTOR_STEPS
+    size = streams.BLOCK_ROWS * streams.VECTOR_STEPS
     spans = np.ceil(size / np.maximum(n_levels * (1.0 - np.diagonal(tmat)), 1.0)).astype(int).tolist()
     relaxed = tmat @ pop.weights
     level, position, offset = None, 1, 0
@@ -700,14 +397,6 @@ def _coarse_outcomes(tmat: np.ndarray, pop: PopulationVector, partition: Project
     return np.concatenate(run_starts), np.concatenate(run_bins)
 
 
-def _block_rows(steps: int) -> int:
-    """Rows per Lüders block: :data:`BLOCK_ROWS`, and for rows longer than
-    :data:`VECTOR_STEPS` as many as hold ``BLOCK_ROWS * VECTOR_STEPS``
-    uniforms, or one row alone, drawn in chunks of that many, when it holds
-    more (:func:`_row_uniforms`)."""
-    return min(BLOCK_ROWS, max(1, BLOCK_ROWS * VECTOR_STEPS // steps))
-
-
 def run_ensemble(
     params: BathParams,
     schedule: MeasurementSchedule,
@@ -724,14 +413,13 @@ def run_ensemble(
     trajectory draws from its own stream and no trajectory's arithmetic
     depends on another's, so the ensemble split at any ``first_index`` and
     concatenated is bit-identical to the unsplit run.  The Lüders engine
-    runs blocks of :func:`_block_rows` trajectories: at most
-    :data:`BLOCK_ROWS`, with no more than ``BLOCK_ROWS * VECTOR_STEPS``
-    uniforms at once, a block of one row drawing them in chunks
-    (:func:`_row_uniforms`), so its working memory is bounded by the block,
-    not by the ensemble or the row.  The jump engine reads out all its paths
-    in one pass.  Both engines take any partition; under a fine one the
-    Lüders engine scans a block of many rows in windows
-    (:func:`_fine_outcomes`) and walks one row from leave to leave
+    runs blocks of :func:`streams._block_rows` trajectories, with no more
+    than ``BLOCK_ROWS * VECTOR_STEPS`` uniforms at once, a block of one row
+    drawing them in chunks (:func:`streams._row_uniforms`), so its working
+    memory is bounded by the block, not by the ensemble or the row.  The
+    jump engine reads out all its paths in one pass.  Both engines take any
+    partition; under a fine one the Lüders engine scans a block of many rows
+    in windows (:func:`_fine_outcomes`) and walks one row from leave to leave
     (:func:`_fine_row`).
     """
     if n_traj < 1:
@@ -751,7 +439,7 @@ def run_ensemble(
         jump_times: list[float] = []
         levels: list[int] = []
         path_levels: list[int] = []
-        for rng in _streams(master_seed, first_index, n_traj):
+        for rng in streams._streams(master_seed, first_index, n_traj):
             times, path = _jump_path(ups, downs, schedule.horizon, level, rng)
             jump_times += times
             levels += path
@@ -759,18 +447,18 @@ def run_ensemble(
         starts, bins = _read_out(jump_times, partition.level_bin[levels], path_levels, schedule.dt, schedule.steps)
     else:
         tmat = transition_matrix(gen, schedule.dt)
-        block_rows, steps = _block_rows(schedule.steps), schedule.steps
+        block_rows, steps = streams._block_rows(schedule.steps), schedule.steps
         runs = []
         for start in range(0, n_traj, block_rows):
             rows = min(block_rows, n_traj - start)
             if rows == 1:
-                chunks = _row_uniforms(master_seed, first_index + start, steps)
+                chunks = streams._row_uniforms(master_seed, first_index + start, steps)
                 if partition.is_fine:
                     block = _fine_row(tmat, pop, chunks)
                 else:
                     block = _coarse_outcomes(tmat, pop, partition, (chunk[None] for chunk in chunks))
             else:
-                uniforms = _uniforms(master_seed, first_index + start, rows, steps)
+                uniforms = streams._uniforms(master_seed, first_index + start, rows, steps)
                 if partition.is_fine:
                     block = _fine_outcomes(tmat, pop, uniforms)
                 else:

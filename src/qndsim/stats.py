@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BathParams
+from .dynamics import survival_product
 from .measurement import ProjectorPartition, _check_bin
-from .protocol import Ensemble, MeasurementSchedule, run_ensemble, survival_product
+from .protocol import Ensemble, MeasurementSchedule, run_ensemble
 
 
 class FitError(ValueError):

@@ -24,9 +24,9 @@ from .core import (
     pure_level,
     thermal_populations,
 )
-from .dynamics import mean_relaxation, propagate
+from .dynamics import ZENO_SWEEP, mean_relaxation, propagate, survival_exponential, survival_product
 from .measurement import ProjectorPartition, luders_collapse, outcome_probabilities
-from .protocol import ZENO_SWEEP, MeasurementSchedule, run_ensemble, survival_exponential, survival_product
+from .protocol import MeasurementSchedule, run_ensemble
 from .stats import (
     FitError,
     SurvivalCurve,
@@ -183,6 +183,17 @@ def check_ac4(shared: _Shared) -> CriterionResult:
     return CriterionResult("AC4 dwell fractions and ergodicity", ok, details)
 
 
+def _step_frequencies(ensemble, n: int) -> np.ndarray:
+    """Fraction of the rows that read bin n at each step, from the runs: the
+    cumulative sum of +1 where a run of n starts in its row and -1 where it
+    ends."""
+    steps = ensemble.schedule.steps
+    held = ensemble.bins == n
+    col = ensemble.starts[held] % steps
+    change = np.bincount(col, minlength=steps + 1) - np.bincount(col + ensemble.lengths[held], minlength=steps + 1)
+    return np.cumsum(change[:steps]) / ensemble.n_traj
+
+
 def check_ac5(shared: _Shared) -> CriterionResult:
     """The measurement-loop and jump engines generate the same statistics."""
     config, params = shared.config, shared.params
@@ -205,8 +216,7 @@ def check_ac5(shared: _Shared) -> CriterionResult:
             f"level-{level} interior dwells: KS stat = {stat:.4f}, p = {pvalue:.4f} "
             f"(n = {a.size}/{b.size}, need p > 0.01)"
         )
-    freq_l = (luders.outcomes == 1).mean(axis=0)
-    freq_g = (gillespie.outcomes == 1).mean(axis=0)
+    freq_l, freq_g = (_step_frequencies(e, 1) for e in (luders, gillespie))
     pooled = 0.5 * (freq_l + freq_g)
     var = pooled * (1.0 - pooled) * (2.0 / n_records)
     with np.errstate(invalid="ignore"):

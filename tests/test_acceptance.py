@@ -11,8 +11,9 @@ import pytest
 from qndsim import validation
 from qndsim.config import RunConfig
 from qndsim.core import bath_from_gamma
+from qndsim.dynamics import survival_exponential, survival_product
 from qndsim.measurement import ProjectorPartition
-from qndsim.protocol import MeasurementSchedule, survival_exponential, survival_product
+from qndsim.protocol import MeasurementSchedule
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,20 @@ def test_ac4_dwell_fractions_and_ergodicity(results):
 
 def test_ac5_engine_equivalence(results):
     report(results["AC5"])
+
+
+def test_ac5_reads_its_marginals_off_the_runs(results, monkeypatch):
+    # AC5's per-step outcome-1 frequencies come from the runs: neither of its
+    # ensembles expands a dense record, and the report is unchanged
+    run, made = validation.run_ensemble, []
+
+    def recorded(*args, **kwargs):
+        made.append(run(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(validation, "run_ensemble", recorded)
+    assert validation.check_ac5(validation._Shared(RunConfig())) == results["AC5"]
+    assert len(made) == 2 and not any("outcomes" in vars(e) for e in made)
 
 
 def test_ac6_quasicontinuity_limit(results):

@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qndsim import protocol
+from qndsim import protocol, streams
 from qndsim.core import BathParams, bath_from_gamma, build_generator, pure_level, thermal_populations
-from qndsim.dynamics import transition_matrix, two_level_population
-from qndsim.measurement import ProjectorPartition, ZeroProbabilityError, bin_masses, collapse
-from qndsim.protocol import (
-    MeasurementSchedule,
+from qndsim.dynamics import (
     ZenoDomainWarning,
-    run_ensemble,
     survival_exponential,
     survival_product,
+    transition_matrix,
+    two_level_population,
     zeno_times,
 )
+from qndsim.measurement import ProjectorPartition, ZeroProbabilityError, bin_masses, collapse
+from qndsim.protocol import MeasurementSchedule, run_ensemble
 
 from oracles import reference_jump_record, reference_loop, reference_uniforms, trajectory_rng
 
@@ -49,7 +49,7 @@ class TestStreams:
         "first_index,n", [(0, 3), (2**32 - 2, 4), (2**63 - 1, 2)], ids=["low", "2^32", "2^63"]
     )
     def test_uniforms_match_reference_streams(self, master_seed, first_index, n):
-        got = protocol._uniforms(master_seed, first_index, n, 7)
+        got = streams._uniforms(master_seed, first_index, n, 7)
         want = np.stack([trajectory_rng(master_seed, first_index + r).random(7) for r in range(n)])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -58,16 +58,16 @@ class TestStreams:
         "first_index,n", [(5, 3), (2**32 - 2, 4), (2**63 - 1, 2)], ids=["low", "2^32", "2^63"]
     )
     def test_draws_on_both_sides_of_the_cut_over(self, first_index, n, offset):
-        steps = protocol.VECTOR_STEPS + offset
-        got = protocol._uniforms(2**63, first_index, n, steps)
+        steps = streams.VECTOR_STEPS + offset
+        got = streams._uniforms(2**63, first_index, n, steps)
         assert_same_bits(got, reference_uniforms(2**63, first_index, n, steps))
 
     def test_block_with_partial_tiles(self):
         # 37 steps end each row in a partial tile, and BLOCK_ROWS + 3 rows
         # end the block in a partial row tile
-        n = protocol.BLOCK_ROWS + 3
-        assert 37 % protocol._TILE_WIDTH and n % (protocol._TILE_ELEMENTS // protocol._TILE_WIDTH)
-        assert_same_bits(protocol._uniforms(11, 40, n, 37), reference_uniforms(11, 40, n, 37))
+        n = streams.BLOCK_ROWS + 3
+        assert 37 % streams._TILE_WIDTH and n % (streams._TILE_ELEMENTS // streams._TILE_WIDTH)
+        assert_same_bits(streams._uniforms(11, 40, n, 37), reference_uniforms(11, 40, n, 37))
 
     @pytest.mark.parametrize("steps", [17, 31, 33, 100, 192])
     def test_equal_width_tiles(self, steps):
@@ -75,14 +75,14 @@ class TestStreams:
         # tiles of 9, 33 three of 11 and 100 seven of 15, while 31 and 192
         # keep tiles of 16; at widths 9, 11 and 15 BLOCK_ROWS rows end in a
         # partial row tile
-        n, first = protocol.BLOCK_ROWS, 2**32 - 9
-        assert_same_bits(protocol._uniforms(6, first, n, steps), reference_uniforms(6, first, n, steps))
+        n, first = streams.BLOCK_ROWS, 2**32 - 9
+        assert_same_bits(streams._uniforms(6, first, n, steps), reference_uniforms(6, first, n, steps))
 
     @pytest.mark.parametrize("vector_steps", [0, 10**6], ids=["generator", "numpy"])
     def test_either_draw_gives_any_row_length(self, monkeypatch, vector_steps):
-        monkeypatch.setattr(protocol, "VECTOR_STEPS", vector_steps)
-        for steps in (1, protocol._TILE_WIDTH - 1, protocol._TILE_WIDTH + 1, 1000):
-            got = protocol._uniforms(8, 2**32 - 1, 3, steps)
+        monkeypatch.setattr(streams, "VECTOR_STEPS", vector_steps)
+        for steps in (1, streams._TILE_WIDTH - 1, streams._TILE_WIDTH + 1, 1000):
+            got = streams._uniforms(8, 2**32 - 1, 3, steps)
             assert_same_bits(got, reference_uniforms(8, 2**32 - 1, 3, steps))
 
     @settings(max_examples=40, deadline=None)
@@ -93,22 +93,22 @@ class TestStreams:
         steps=st.integers(1, 400),
     )
     def test_uniforms_match_reference_streams_property(self, master_seed, first_index, n, steps):
-        got = protocol._uniforms(master_seed, first_index, n, steps)
+        got = streams._uniforms(master_seed, first_index, n, steps)
         assert_same_bits(got, reference_uniforms(master_seed, first_index, n, steps))
 
     @pytest.mark.parametrize("block_rows", [1, 2, 4096])
     def test_row_chunks_continue_the_reference_stream(self, monkeypatch, block_rows):
         # chunks of at most BLOCK_ROWS * VECTOR_STEPS uniforms, the last one
         # partial, that together are the row's stream
-        monkeypatch.setattr(protocol, "BLOCK_ROWS", block_rows)
-        steps = 5 * protocol.VECTOR_STEPS + 7
-        chunks = [c.copy() for c in protocol._row_uniforms(9, 2**32 - 1, steps)]
-        assert max(c.size for c in chunks) == min(steps, block_rows * protocol.VECTOR_STEPS)
+        monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
+        steps = 5 * streams.VECTOR_STEPS + 7
+        chunks = [c.copy() for c in streams._row_uniforms(9, 2**32 - 1, steps)]
+        assert max(c.size for c in chunks) == min(steps, block_rows * streams.VECTOR_STEPS)
         assert_same_bits(np.concatenate(chunks), reference_uniforms(9, 2**32 - 1, 1, steps)[0])
 
     def test_streams_continue_like_reference_streams(self):
         # the jump engine interleaves exponentials and uniforms on one stream
-        for i, rng in enumerate(protocol._streams(3, 2**32 - 1, 2)):
+        for i, rng in enumerate(streams._streams(3, 2**32 - 1, 2)):
             ref = trajectory_rng(3, 2**32 - 1 + i)
             for _ in range(3):
                 assert rng.exponential(0.5) == ref.exponential(0.5)
@@ -116,11 +116,20 @@ class TestStreams:
 
     def test_rejects_seeds_outside_uint64_range(self):
         with pytest.raises(ValueError):
-            protocol._uniforms(-1, 0, 1, 3)
+            streams._uniforms(-1, 0, 1, 3)
         with pytest.raises(ValueError):
-            protocol._uniforms(0, -1, 1, 3)
+            streams._uniforms(0, -1, 1, 3)
         with pytest.raises(ValueError):
-            protocol._uniforms(0, 2**64 - 1, 2, 3)
+            streams._uniforms(0, 2**64 - 1, 2, 3)
+
+
+def test_protocol_binds_no_stream_or_law_name():
+    # the engines read the stream and layout names as streams.X at call time,
+    # so a patch of streams.BLOCK_ROWS reaches every reader, and a patch of a
+    # name left behind in protocol raises instead of silently doing nothing
+    for name in ("SEED_DERIVATION", "BLOCK_ROWS", "VECTOR_STEPS", "_uniforms", "_row_uniforms",
+                 "_streams", "_block_rows", "survival_product", "zeno_times"):
+        assert not hasattr(protocol, name), name
 
 
 class TestSchedule:
@@ -263,8 +272,8 @@ class TestLudersEngine:
         # outcomes at seed 0 of the per-level column loop this engine replaced
         # (200 x 100), and of the per-row stack after it (4096 x 100 and the row)
         n_traj, steps, block_rows = shape
-        monkeypatch.setattr(protocol, "BLOCK_ROWS", block_rows)
-        assert n_traj > 1 or steps > protocol.BLOCK_ROWS * protocol.VECTOR_STEPS
+        monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
+        assert n_traj > 1 or steps > streams.BLOCK_ROWS * streams.VECTOR_STEPS
         sched = MeasurementSchedule(dt, steps, partition)
         outcomes = run_ensemble(params, sched, initial, 40, n_traj, 0).outcomes
         assert outcomes.dtype == np.int16 and outcomes.shape == (n_traj, steps)
@@ -318,14 +327,14 @@ class TestLudersEngine:
         partition = ProjectorPartition(40, ((0,), (1, 2, 3), tuple(range(4, 41))))
         sched = MeasurementSchedule(0.3, 20, partition)
         initial = thermal_populations(params, 40)
-        n = protocol.BLOCK_ROWS + 3
+        n = streams.BLOCK_ROWS + 3
         whole = run_ensemble(params, sched, initial, 40, n, 9).outcomes
-        cuts = [0, 1, protocol.BLOCK_ROWS, n]
+        cuts = [0, 1, streams.BLOCK_ROWS, n]
         shards = [
             run_ensemble(params, sched, initial, 40, b - a, 9, first_index=a).outcomes
             for a, b in zip(cuts[:-1], cuts[1:])
         ]
-        assert [len(s) for s in shards] == [1, protocol.BLOCK_ROWS - 1, 3]
+        assert [len(s) for s in shards] == [1, streams.BLOCK_ROWS - 1, 3]
         assert np.array_equal(whole, np.concatenate(shards))
         assert len(np.unique(whole)) == 3
 
@@ -353,8 +362,8 @@ class TestLudersEngine:
         def row(steps):
             return np.concatenate(([first], np.full(steps - 1, np.nextafter(1.0, 0.0))))
 
-        monkeypatch.setattr(protocol, "_uniforms", lambda seed, first_index, n, steps: np.tile(row(steps), (n, 1)))
-        monkeypatch.setattr(protocol, "_row_uniforms", lambda seed, index, steps: iter([row(steps)]))
+        monkeypatch.setattr(streams, "_uniforms", lambda seed, first_index, n, steps: np.tile(row(steps), (n, 1)))
+        monkeypatch.setattr(streams, "_row_uniforms", lambda seed, index, steps: iter([row(steps)]))
 
     @pytest.mark.parametrize(
         "partition,n_traj,first",
@@ -488,7 +497,7 @@ class TestFineEngineEdgesInNarrowWindows(TestFineEngineEdges):
 
     @pytest.fixture(autouse=True)
     def narrow_windows(self, monkeypatch, width):
-        monkeypatch.setattr(protocol, "VECTOR_STEPS", width)
+        monkeypatch.setattr(streams, "VECTOR_STEPS", width)
         monkeypatch.setattr(protocol, "_window_width", lambda n_rows, leave_rate: width)
 
 
@@ -503,8 +512,8 @@ class TestFineRowWalk:
     def walk(params, sched, initial, trunc, chunk, index=0):
         # BLOCK_ROWS = 1 leaves chunks of VECTOR_STEPS uniforms
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(protocol, "BLOCK_ROWS", 1)
-            mp.setattr(protocol, "VECTOR_STEPS", chunk)
+            mp.setattr(streams, "BLOCK_ROWS", 1)
+            mp.setattr(streams, "VECTOR_STEPS", chunk)
             outcomes = run_ensemble(params, sched, initial, trunc, 1, 42, first_index=index).outcomes[0]
         start = pure_level(initial, trunc) if isinstance(initial, int) else initial
         assert np.array_equal(outcomes, reference_loop(params, sched, start, trunc, (42, index)))
@@ -554,8 +563,8 @@ class TestFineRowWalk:
         # Python ints, then two int64 arrays, then joined) and the compare
         # masks take the rest, about 10 chunks in all.
         size = 20_000
-        monkeypatch.setattr(protocol, "BLOCK_ROWS", 1)
-        monkeypatch.setattr(protocol, "VECTOR_STEPS", size)
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 1)
+        monkeypatch.setattr(streams, "VECTOR_STEPS", size)
         tmat = transition_matrix(build_generator(bath_from_gamma(1.0, 5.0), 40), 1.0)
         chunk = np.random.default_rng(0).random(size)
         tracemalloc.start()
@@ -883,7 +892,7 @@ class TestEnsemble:
             (ProjectorPartition.fine(4), "luders", 30),
             (coarse_partition(4), "luders", 30),
             # past VECTOR_STEPS: per-row Generator draws, fewer rows per block
-            (ProjectorPartition.fine(4), "luders", protocol.VECTOR_STEPS + 1),
+            (ProjectorPartition.fine(4), "luders", streams.VECTOR_STEPS + 1),
             (ProjectorPartition.fine(4), "luders", 500),
             (coarse_partition(4), "luders", 250),
         ],
@@ -892,16 +901,16 @@ class TestEnsemble:
     def test_row_blocks_do_not_change_outcomes(self, monkeypatch, partition, engine, steps):
         sched = MeasurementSchedule(0.2, steps, partition)
         whole = run_ensemble(PARAMS, sched, 1, 4, 23, 5, engine=engine)
-        monkeypatch.setattr(protocol, "BLOCK_ROWS", 5)
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
         blocked = run_ensemble(PARAMS, sched, 1, 4, 23, 5, engine=engine)
         assert np.array_equal(whole.outcomes, blocked.outcomes)
 
     def test_long_rows_come_in_fewer_per_block(self, monkeypatch):
-        assert protocol._block_rows(1) == protocol._block_rows(protocol.VECTOR_STEPS) == 4096
-        assert protocol._block_rows(1000) == 786
-        assert protocol._block_rows(10**7) == 1
-        monkeypatch.setattr(protocol, "BLOCK_ROWS", 5)
-        assert [protocol._block_rows(s) for s in (30, protocol.VECTOR_STEPS + 1, 250, 500)] == [5, 4, 3, 1]
+        assert streams._block_rows(1) == streams._block_rows(streams.VECTOR_STEPS) == 4096
+        assert streams._block_rows(1000) == 786
+        assert streams._block_rows(10**7) == 1
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
+        assert [streams._block_rows(s) for s in (30, streams.VECTOR_STEPS + 1, 250, 500)] == [5, 4, 3, 1]
 
     def test_long_rows_run_in_bounded_memory(self):
         # numpy reports its buffers to tracemalloc.  The 4 MB of outcomes, one
@@ -928,15 +937,15 @@ class TestEnsemble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * protocol.BLOCK_ROWS * protocol.VECTOR_STEPS
+        assert peak < 2 * 8 * streams.BLOCK_ROWS * streams.VECTOR_STEPS
 
     def test_coarse_row_in_chunks_matches_its_block(self, monkeypatch):
         # rows of 1000 steps in one block, then each alone in chunks of 384
         # uniforms, its state carried from chunk to chunk
         sched = MeasurementSchedule(0.3, 1000, coarse_partition(4))
         whole = run_ensemble(PARAMS, sched, 1, 4, 3, 5)
-        monkeypatch.setattr(protocol, "BLOCK_ROWS", 2)
-        assert protocol._block_rows(sched.steps) == 1
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 2)
+        assert streams._block_rows(sched.steps) == 1
         chunked = run_ensemble(PARAMS, sched, 1, 4, 3, 5)
         assert np.array_equal(whole.starts, chunked.starts) and np.array_equal(whole.bins, chunked.bins)
         assert whole.bins.size > 10
@@ -946,15 +955,15 @@ class TestEnsemble:
         # and at most as much again.  The dense outcomes (one byte a readout)
         # and the change mask fit; intp temporaries the size of the block, at
         # 8 bytes a readout each, do not.
-        sched = MeasurementSchedule(0.01, protocol.VECTOR_STEPS, ProjectorPartition(2, ((0,), (1, 2))))
-        rows = protocol.BLOCK_ROWS
+        sched = MeasurementSchedule(0.01, streams.VECTOR_STEPS, ProjectorPartition(2, ((0,), (1, 2))))
+        rows = streams.BLOCK_ROWS
         tracemalloc.start()
         try:
             run_ensemble(PARAMS, sched, 0, 2, rows, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * rows * protocol.VECTOR_STEPS
+        assert peak < 2 * 8 * rows * streams.VECTOR_STEPS
 
     def test_same_master_seed_is_bit_identical(self):
         sched = MeasurementSchedule(0.05, 50, ProjectorPartition.fine(1))
