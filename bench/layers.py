@@ -13,13 +13,14 @@ range of its runs (0 for one run), the spread a ``speedup`` must clear to
 mean anything.  ``peak_mb`` is the ``tracemalloc`` peak of one more run
 (numpy reports its buffers to ``tracemalloc``), in 1e6 bytes.
 Layers run at ``gamma = 1`` from level 0, at the settings in their entry
-(``null`` where one does not apply).  ``uniforms`` and ``fine_outcomes`` run
-in blocks cut as ``run_ensemble`` cuts them, one block's runs discarded
-before the next, and take the engine's path for a block of one row: its
-uniforms in chunks (``_row_uniforms``), walked leave to leave
-(``_fine_row``); ``coarse_outcomes`` is the Lüders engine in one block on
-the partition {0..first_bin-1} | {first_bin..trunc} (``first_bin`` is null
-in every other layer); ``luders_engine`` and ``jump_engine`` are
+(``null`` where one does not apply).  ``uniforms``, ``fine_outcomes`` and
+``coarse_outcomes`` run the blocks of ``streams._blocks``, the cut that
+``run_ensemble`` runs, one block discarded before the next: ``uniforms``
+draws each block's chunks, and the two engine layers run
+``protocol._luders_block``, ``run_ensemble``'s engine choice, on chunks
+drawn before the clock starts, ``coarse_outcomes`` on the partition
+{0..first_bin-1} | {first_bin..trunc} (``first_bin`` is null in every
+other layer); ``luders_engine`` and ``jump_engine`` are
 ``run_ensemble`` with each engine, the Lüders one on a row too long to
 hold its uniforms at once; ``record`` is ``protocol._runs``, the normalizer that
 every ensemble's runs pass through, on the runs that ``estimate_survival``
@@ -138,47 +139,26 @@ def _machine() -> dict:
             "numpy": np.__version__}
 
 
-def _blocks(n: int, steps: int) -> list[tuple[int, int]]:
-    """(first row, rows) of each block, cut as ``run_ensemble`` cuts them."""
-    rows = streams._block_rows(steps)
-    return [(start, min(rows, n - start)) for start in range(0, n, rows)]
-
-
 def _uniforms(n: int, steps: int):
     def draw():
-        for start, rows in _blocks(n, steps):
-            if rows == 1:
-                for _ in streams._row_uniforms(0, start, steps):
-                    pass
-            else:
-                streams._uniforms(0, start, rows, steps)
+        for _, _, chunks in streams._blocks(0, 0, n, steps):
+            for _ in chunks:
+                pass
     return draw
 
 
-def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float):
+def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float, first_bin: int | None = None):
     tmat = dynamics.transition_matrix(build_generator(bath_from_gamma(1.0, n_thermal), trunc), gdt)
-    pop = pure_level(0, trunc)
-    # a block of one row as its chunks, each copied (the draw reuses one buffer)
-    blocks = [
-        [chunk.copy() for chunk in streams._row_uniforms(0, start, steps)] if rows == 1
-        else streams._uniforms(0, start, rows, steps)
-        for start, rows in _blocks(n, steps)
-    ]
+    pop, partition = pure_level(0, trunc), ProjectorPartition.fine(trunc)
+    if first_bin is not None:
+        partition = ProjectorPartition(trunc, (tuple(range(first_bin)), tuple(range(first_bin, trunc + 1))))
+    # each block's chunks, copied (a row's draw reuses one buffer)
+    blocks = [(rows, [chunk.copy() for chunk in chunks]) for _, rows, chunks in streams._blocks(0, 0, n, steps)]
 
-    def scan():
-        for block in blocks:
-            if isinstance(block, list):
-                protocol._fine_row(tmat, pop, block)
-            else:
-                protocol._fine_outcomes(tmat, pop, block)
-    return scan
-
-
-def _coarse(trunc: int, n: int, steps: int, n_thermal: float, gdt: float, first_bin: int):
-    tmat = dynamics.transition_matrix(build_generator(bath_from_gamma(1.0, n_thermal), trunc), gdt)
-    partition = ProjectorPartition(trunc, (tuple(range(first_bin)), tuple(range(first_bin, trunc + 1))))
-    uniforms = streams._uniforms(0, 0, n, steps)
-    return partial(protocol._coarse_outcomes, tmat, pure_level(0, trunc), partition, [uniforms])
+    def run():
+        for rows, chunks in blocks:
+            protocol._luders_block(tmat, pop, partition, rows, chunks)
+    return run
 
 
 def _ensemble(trunc: int, n: int, steps: int, engine: str = "luders", seed: int = 0):
@@ -208,7 +188,7 @@ def _layers(repeats: int) -> list[dict]:
     record = _ensemble(*DWELL_SHAPE, "gillespie")()
     cases = [("uniforms", (None, n, s, None, None), _uniforms(n, s)) for n, s in UNIFORM_SHAPES]
     cases += [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
-    cases += [("coarse_outcomes", shape, _coarse(*shape)) for shape in COARSE_SHAPES]
+    cases += [("coarse_outcomes", shape, _engine(*shape)) for shape in COARSE_SHAPES]
     cases += [("luders_engine", shape + DEFAULTS, _ensemble(*shape)) for shape in LUDERS_SHAPES]
     cases += [("jump_engine", shape + DEFAULTS, _ensemble(*shape, "gillespie")) for shape in JUMP_SHAPES]
     cases += [

@@ -99,15 +99,16 @@ def bin_masses(weights: np.ndarray, partition: ProjectorPartition) -> np.ndarray
 
 
 def collapse(
-    weights: np.ndarray, partition: ProjectorPartition, outcome: np.ndarray, mass: np.ndarray
+    weights: np.ndarray, partition: ProjectorPartition, outcome: np.ndarray, masses: np.ndarray
 ) -> np.ndarray:
-    """Lüders update of ``(rows, L)`` weights on observing bin ``outcome[r]``
-    of mass ``mass[r]``: a row already supported inside its bin comes back
-    unchanged, bit for bit (repeating the measurement cannot disturb it);
-    every other row is zeroed outside its bin and divided by its mass."""
-    kept = weights * (partition.level_bin == outcome[:, None])
-    settled = (kept == weights).all(axis=1)
-    return kept / np.where(settled, 1.0, mass)[:, None]
+    """Lüders update of ``(rows, L)`` weights with bin masses ``masses`` on
+    observing bin ``outcome[r]``, of non-zero mass: a row with no other bin of
+    non-zero mass comes back unchanged, bit for bit (repeating the measurement
+    cannot disturb it); every other row is zeroed outside its bin and divided
+    by the bin's mass."""
+    settled = np.count_nonzero(masses, axis=1) == 1
+    mass = masses[np.arange(len(masses)), outcome]
+    return weights * (partition.level_bin == outcome[:, None]) / np.where(settled, 1.0, mass)[:, None]
 
 
 def outcome_probabilities(pop: PopulationVector, partition: ProjectorPartition) -> np.ndarray:
@@ -124,9 +125,9 @@ def luders_collapse(pop: PopulationVector, partition: ProjectorPartition, j: int
     _check_truncation(pop, partition)
     _check_bin(partition, j)
     w = pop.weights[None]
-    mass = bin_masses(w, partition)[:, j]
-    if mass[0] <= 0.0:
+    masses = bin_masses(w, partition)
+    if masses[0, j] <= 0.0:
         raise ZeroProbabilityError(f"outcome {j} has zero probability")
-    out = collapse(w, partition, np.array([j]), mass)[0]
+    out = collapse(w, partition, np.array([j]), masses)[0]
     # collapse changes every row with weight outside the bin, and no other
     return pop if np.array_equal(out, pop.weights) else PopulationVector(out)

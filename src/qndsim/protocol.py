@@ -234,8 +234,8 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
     compared again, with their new level, past that column, until no row
     leaves; the levels carry into the next window.  A row that never leaves
     (most rows, when readouts are frequent) costs one interval test per
-    readout, and each leave starts a run.  :func:`run_ensemble` walks a
-    block of one row instead (:func:`_fine_row`).
+    readout, and each leave starts a run.  A block of one row is walked
+    instead (:func:`_fine_row`).
     """
     n_rows, steps = uniforms.shape
     cum, lower, upper = _level_bounds(tmat)
@@ -277,8 +277,7 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
 
 def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarray, np.ndarray]:
     """Maximal runs (:class:`Ensemble`) of one row of the measurement loop
-    under a fine partition, its uniforms given as consecutive ``chunks`` of
-    at most ``streams.BLOCK_ROWS * streams.VECTOR_STEPS``.
+    under a fine partition, its uniforms given as consecutive ``chunks``.
 
     The row is walked from leave to leave.  The readouts where level k
     leaves (its uniform outside k's interval, :func:`_level_bounds`) come
@@ -287,7 +286,7 @@ def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarr
     them past the row's position, found by bisection, and the new level is
     the right-sided bisection of its uniform into column k's cumulative
     masses, clamped (:func:`_clamp`).  The level and the position carry into
-    the next chunk.  A span is the whole chunk, or ``1 / (L * q_k)`` of it
+    the next chunk.  A span is the whole chunk, or ``1 / (L * q_k)`` of its size
     for a level left with chance ``q_k = 1 - tmat[k, k]`` above ``1 / L``, so
     that the L levels' leave positions together hold about one chunk.  A
     readout costs one interval test per level whose span covers it, and a
@@ -296,14 +295,14 @@ def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarr
     n_levels = tmat.shape[0]
     cum, lower, upper = _level_bounds(tmat)
     columns, top_mass = cum.tolist(), tmat[-1].tolist()
-    size = streams.BLOCK_ROWS * streams.VECTOR_STEPS
-    spans = np.ceil(size / np.maximum(n_levels * (1.0 - np.diagonal(tmat)), 1.0)).astype(int).tolist()
+    shares = np.maximum(n_levels * (1.0 - np.diagonal(tmat)), 1.0)
     relaxed = tmat @ pop.weights
     level, position, offset = None, 1, 0
     run_starts, run_levels = [], []
     for chunk in chunks:
         # leaves[k]: the end of the span last compared for level k, and its leaves
         u, leaves, found, levels = memoryview(chunk), {}, [], []
+        spans = np.ceil(chunk.size / shares).astype(int).tolist()
         if level is None:  # the first readout
             level = int(_clamp(bisect_right(np.cumsum(relaxed).tolist(), u[0]), n_levels, relaxed[-1]))
             found.append(0)
@@ -378,7 +377,7 @@ def _coarse_outcomes(tmat: np.ndarray, pop: PopulationVector, partition: Project
             lookup[key] = 1
             pairs = np.flatnonzero(lookup)
             source, observed = np.divmod(pairs, n_bins)
-            states = collapse(relaxed.take(source, axis=0), partition, observed, masses[source, observed])
+            states = collapse(relaxed.take(source, axis=0), partition, observed, masses[source])
             # the pairs that leave e_j exactly, onto a bin {j} of one level, share
             # one of their rows (any one: they are equal byte for byte); a settled
             # one keeps its own mass (as on an absorbing level) and stays apart
@@ -397,6 +396,20 @@ def _coarse_outcomes(tmat: np.ndarray, pop: PopulationVector, partition: Project
     return np.concatenate(run_starts), np.concatenate(run_bins)
 
 
+def _luders_block(tmat: np.ndarray, pop: PopulationVector, partition: ProjectorPartition, rows: int, chunks):
+    """Runs of one block of ``rows`` rows of the measurement loop, its uniforms
+    as the ``chunks`` of :func:`streams._blocks`: under a fine partition a
+    block of many rows is scanned in windows (:func:`_fine_outcomes`) and one
+    row walked from leave to leave (:func:`_fine_row`); any other partition
+    steps its table of states (:func:`_coarse_outcomes`)."""
+    if not partition.is_fine:
+        return _coarse_outcomes(tmat, pop, partition, chunks if rows > 1 else (c[None] for c in chunks))
+    if rows == 1:
+        return _fine_row(tmat, pop, chunks)
+    [uniforms] = chunks
+    return _fine_outcomes(tmat, pop, uniforms)
+
+
 def run_ensemble(
     params: BathParams,
     schedule: MeasurementSchedule,
@@ -412,15 +425,13 @@ def run_ensemble(
     The result depends only on (params, schedule, initial, seeds): each
     trajectory draws from its own stream and no trajectory's arithmetic
     depends on another's, so the ensemble split at any ``first_index`` and
-    concatenated is bit-identical to the unsplit run.  The Lüders engine
-    runs blocks of :func:`streams._block_rows` trajectories, with no more
-    than ``BLOCK_ROWS * VECTOR_STEPS`` uniforms at once, a block of one row
-    drawing them in chunks (:func:`streams._row_uniforms`), so its working
-    memory is bounded by the block, not by the ensemble or the row.  The
-    jump engine reads out all its paths in one pass.  Both engines take any
-    partition; under a fine one the Lüders engine scans a block of many rows
-    in windows (:func:`_fine_outcomes`) and walks one row from leave to leave
-    (:func:`_fine_row`).
+    concatenated is bit-identical to the unsplit run.  Both engines run the
+    blocks of :func:`streams._blocks`, one at a time, so their working
+    memory is bounded by one block, not by the ensemble or the row: the
+    Lüders engine draws each block's uniforms (:func:`_luders_block`), and
+    the jump engine draws its block's paths from their Generators and reads
+    them out (:func:`_jump_path`, :func:`_read_out`).  Both engines take any
+    partition.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
@@ -436,34 +447,21 @@ def run_ensemble(
         if level is None:
             raise ValueError("the jump engine needs a definite initial level")
         ups, downs = gen.up.tolist() + [0.0], [0.0] + gen.down.tolist()
-        jump_times: list[float] = []
-        levels: list[int] = []
-        path_levels: list[int] = []
-        for rng in streams._streams(master_seed, first_index, n_traj):
-            times, path = _jump_path(ups, downs, schedule.horizon, level, rng)
-            jump_times += times
-            levels += path
-            path_levels.append(len(path))
-        starts, bins = _read_out(jump_times, partition.level_bin[levels], path_levels, schedule.dt, schedule.steps)
     else:
         tmat = transition_matrix(gen, schedule.dt)
-        block_rows, steps = streams._block_rows(schedule.steps), schedule.steps
-        runs = []
-        for start in range(0, n_traj, block_rows):
-            rows = min(block_rows, n_traj - start)
-            if rows == 1:
-                chunks = streams._row_uniforms(master_seed, first_index + start, steps)
-                if partition.is_fine:
-                    block = _fine_row(tmat, pop, chunks)
-                else:
-                    block = _coarse_outcomes(tmat, pop, partition, (chunk[None] for chunk in chunks))
-            else:
-                uniforms = streams._uniforms(master_seed, first_index + start, rows, steps)
-                if partition.is_fine:
-                    block = _fine_outcomes(tmat, pop, uniforms)
-                else:
-                    block = _coarse_outcomes(tmat, pop, partition, [uniforms])
-                del uniforms  # else it lives on while the next block is drawn
-            runs.append((block[0] + start * steps, block[1]))
-        starts, bins = map(np.concatenate, zip(*runs))
+    steps, runs = schedule.steps, []
+    for start, rows, chunks in streams._blocks(master_seed, first_index, n_traj, steps):
+        if engine == "gillespie":
+            jump_times, levels, path_levels = [], [], []
+            for rng in streams._streams(master_seed, first_index + start, rows):
+                times, path = _jump_path(ups, downs, schedule.horizon, level, rng)
+                jump_times += times
+                levels += path
+                path_levels.append(len(path))
+            starts, bins = _read_out(jump_times, partition.level_bin[levels], path_levels, schedule.dt, steps)
+        else:
+            starts, bins = _luders_block(tmat, pop, partition, rows, chunks)
+        starts += start * steps
+        runs.append((starts, bins))
+    starts, bins = map(np.concatenate, zip(*runs))
     return Ensemble(schedule, level, starts, bins, n_traj, master_seed, first_index, engine)

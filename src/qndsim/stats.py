@@ -19,6 +19,10 @@ from .measurement import ProjectorPartition, _check_bin
 from .protocol import Ensemble, MeasurementSchedule, run_ensemble
 
 
+# The least survival and survivor count of a point that fit_decay keeps
+FIT_FLOOR, FIT_MIN_SURVIVORS = 0.05, 10.0
+
+
 class FitError(ValueError):
     """The survival curve has too few usable points or does not decay."""
 
@@ -103,19 +107,19 @@ class FitResult:
     window: FitWindow
 
 
-def fit_decay(curve: SurvivalCurve, floor: float = 0.05, min_survivors: float = 10.0) -> FitResult:
+def fit_decay(curve: SurvivalCurve) -> FitResult:
     """Weighted least-squares fit of ``ln(survival)`` against time.
 
-    Only points with survival >= floor and at least ``min_survivors``
-    survivors qualify (log-linear fitting is ill-conditioned in the deep
-    tail).  Weights are the inverse variances of ln(p̂),
-    ``survivors*p/(1-p)``, with 1-p floored at half a count to cap the
+    Only points with survival >= :data:`FIT_FLOOR` and at least
+    :data:`FIT_MIN_SURVIVORS` survivors qualify (log-linear fitting is
+    ill-conditioned in the deep tail).  Weights are the inverse variances of
+    ln(p̂), ``survivors*p/(1-p)``, with 1-p floored at half a count to cap the
     weight of points at p = 1.  Returns the decay rate (-slope) and its
     standard error; raises :class:`FitError` if fewer than three points
     qualify or the curve does not decay.
     """
     p = curve.survival
-    keep = (p >= floor) & (p > 0.0) & (curve.survivors >= min_survivors)
+    keep = (p >= FIT_FLOOR) & (p > 0.0) & (curve.survivors >= FIT_MIN_SURVIVORS)
     if keep.sum() < 3:
         raise FitError(f"only {int(keep.sum())} usable points (need 3)")
     t = curve.times[keep]
@@ -130,7 +134,7 @@ def fit_decay(curve: SurvivalCurve, floor: float = 0.05, min_survivors: float = 
     slope = (w * (t - t_bar) * (y - y_bar)).sum() / s_tt
     if slope >= 0.0:
         raise FitError(f"fitted rate is not positive (slope = {slope!r})")
-    window = FitWindow(floor, min_survivors, int(keep.sum()), float(t.min()), float(t.max()))
+    window = FitWindow(FIT_FLOOR, FIT_MIN_SURVIVORS, int(keep.sum()), float(t.min()), float(t.max()))
     return FitResult(-slope, math.sqrt(1.0 / s_tt), window)
 
 

@@ -1,14 +1,14 @@
 """Random streams of the trajectory engines: the seed contract and the
-Lüders block layout.
+block layout.
 
 Reproducibility contract: trajectory i of an ensemble draws from a private
 stream derived as ``SeedSequence((master_seed, i))`` feeding PCG64 (see
 :data:`SEED_DERIVATION`).  :func:`_streams` sets one Generator to each
 stream in turn; :func:`_uniforms` draws a block of rows' uniforms at once,
 running SeedSequence and PCG64 in numpy uint64 arithmetic bit for bit as
-numpy's own classes do; :func:`_block_rows` and :func:`_row_uniforms` cut
-an ensemble into the blocks that bound the Lüders engine's working memory.
-This module imports only numpy.
+numpy's own classes do.  :func:`_blocks` cuts an ensemble into the blocks
+that both engines run one at a time, so that one block bounds their working
+memory; the engines read no layout name.  This module imports only numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ import numpy as np
 # Documented stream-derivation mixer; echoed in CLI output metadata.
 SEED_DERIVATION = "numpy SeedSequence((master_seed, trajectory_index)) -> PCG64"
 
-# Trajectories sampled together, for rows of at most VECTOR_STEPS steps;
-# longer rows come in proportionally fewer (:func:`_block_rows`), and a row
-# longer still alone, drawn in chunks (:func:`_row_uniforms`).  So no block
-# holds more than BLOCK_ROWS * VECTOR_STEPS uniforms at once, which bounds
-# every working array of the Lüders engine whatever the ensemble size.
+# Trajectories per block, for rows of at most VECTOR_STEPS steps (:func:`_blocks`).
 BLOCK_ROWS = 4096
 
 # numpy.random.SeedSequence's hash constants (pool of four uint32 words) and
@@ -255,9 +251,25 @@ def _uniforms(master_seed: int, first_index: int, n: int, steps: int) -> np.ndar
     return out
 
 
-def _block_rows(steps: int) -> int:
-    """Rows per Lüders block: :data:`BLOCK_ROWS`, and for rows longer than
+def _blocks(master_seed: int, first_index: int, n: int, steps: int):
+    """Trajectories ``first_index .. first_index + n - 1`` in blocks of rows
+    ``first_row .. first_row + rows - 1``, as ``(first_row, rows, chunks)``.
+
+    A block holds :data:`BLOCK_ROWS` rows, and for rows longer than
     :data:`VECTOR_STEPS` as many as hold ``BLOCK_ROWS * VECTOR_STEPS``
-    uniforms, or one row alone, drawn in chunks of that many, when it holds
-    more (:func:`_row_uniforms`)."""
-    return min(BLOCK_ROWS, max(1, BLOCK_ROWS * VECTOR_STEPS // steps))
+    uniforms, or one row alone when it holds more.  Iterating ``chunks``
+    draws the block's first ``steps`` uniforms: one ``(rows, steps)`` array
+    (:func:`_uniforms`), or one row's consecutive pieces
+    (:func:`_row_uniforms`).  Nothing is drawn for a block whose chunks are
+    not iterated (the jump engine's, drawn from :func:`_streams`)."""
+
+    def chunks(index: int, rows: int):
+        if rows > 1:
+            yield _uniforms(master_seed, index, rows, steps)
+        else:
+            yield from _row_uniforms(master_seed, index, steps)
+
+    block_rows = min(BLOCK_ROWS, max(1, BLOCK_ROWS * VECTOR_STEPS // steps))
+    for start in range(0, n, block_rows):
+        rows = min(block_rows, n - start)
+        yield start, rows, chunks(first_index + start, rows)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qndsim.core import PopulationVector, bath_from_gamma, pure_level
+from qndsim.core import BathParams, PopulationVector, bath_from_gamma, build_generator, pure_level
+from qndsim.dynamics import transition_matrix
 from qndsim.measurement import (
     ProjectorPartition,
     ZeroProbabilityError,
@@ -172,11 +173,39 @@ class TestStackedUpdate:
         outcome = np.array([j, (j + 1) % part.n_bins, j])
         weights = np.stack([p.weights for p in pops])
         masses = bin_masses(weights, part)
-        collapsed = collapse(weights, part, outcome, masses[np.arange(3), outcome])
+        collapsed = collapse(weights, part, outcome, masses)
         for row, (p, k) in enumerate(zip(pops, outcome)):
             assert_same_bits(masses[row], outcome_probabilities(p, part))
             assert_same_bits(collapsed[row], luders_collapse(p, part, int(k)).weights)
         assert_same_bits(collapsed[2], inside.weights)
+
+    def test_collapse_matches_the_weight_test_it_replaced(self):
+        # collapse finds a settled row by its one bin of non-zero mass; the
+        # update it replaced compared the kept weights with the weights.  Rows
+        # of random weights with zeros, and pure levels relaxed at zero
+        # temperature (supported on the levels below them), over random
+        # partitions, each observing a bin of non-zero mass.
+        def weight_test(weights, partition, outcome, mass):
+            kept = weights * (partition.level_bin == outcome[:, None])
+            settled = (kept == weights).all(axis=1)
+            return kept / np.where(settled, 1.0, mass)[:, None]
+
+        rng = np.random.default_rng(2024)
+        settled = 0
+        for _ in range(300):
+            trunc = int(rng.integers(1, 9))
+            cuts = np.sort(rng.choice(np.arange(1, trunc + 1), rng.integers(0, trunc + 1), replace=False))
+            part = ProjectorPartition(trunc, tuple(tuple(b) for b in np.split(rng.permutation(trunc + 1), cuts)))
+            tmat = transition_matrix(build_generator(BathParams(0.0, 1.1), trunc), float(rng.choice([0.01, 1.0])))
+            weights = np.vstack([rng.random((6, trunc + 1)) * (rng.random((6, trunc + 1)) < 0.5), tmat.T])
+            weights = weights[weights.any(axis=1)]
+            masses = bin_masses(weights, part)
+            outcome = np.array([rng.choice(np.flatnonzero(m)) for m in masses])
+            mass = masses[np.arange(len(weights)), outcome]
+            old = weight_test(weights, part, outcome, mass)
+            assert_same_bits(collapse(weights, part, outcome, masses), old)
+            settled += np.count_nonzero((old == weights).all(axis=1))
+        assert settled > 300
 
 
 class TestSampleOutcome:

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -130,6 +132,14 @@ def test_protocol_binds_no_stream_or_law_name():
     for name in ("SEED_DERIVATION", "BLOCK_ROWS", "VECTOR_STEPS", "_uniforms", "_row_uniforms",
                  "_streams", "_block_rows", "survival_product", "zeno_times"):
         assert not hasattr(protocol, name), name
+    # and it reads no layout name: streams._blocks cuts and draws the blocks
+    tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "streams"
+    }
+    assert "_blocks" in read
+    assert not read & {"BLOCK_ROWS", "VECTOR_STEPS", "_block_rows", "_uniforms", "_row_uniforms"}
 
 
 class TestSchedule:
@@ -906,11 +916,14 @@ class TestEnsemble:
         assert np.array_equal(whole.outcomes, blocked.outcomes)
 
     def test_long_rows_come_in_fewer_per_block(self, monkeypatch):
-        assert streams._block_rows(1) == streams._block_rows(streams.VECTOR_STEPS) == 4096
-        assert streams._block_rows(1000) == 786
-        assert streams._block_rows(10**7) == 1
+        def block_rows(steps):
+            return next(streams._blocks(0, 0, 10**6, steps))[1]
+
+        assert block_rows(1) == block_rows(streams.VECTOR_STEPS) == 4096
+        assert block_rows(1000) == 786
+        assert block_rows(10**7) == 1
         monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
-        assert [streams._block_rows(s) for s in (30, streams.VECTOR_STEPS + 1, 250, 500)] == [5, 4, 3, 1]
+        assert [block_rows(s) for s in (30, streams.VECTOR_STEPS + 1, 250, 500)] == [5, 4, 3, 1]
 
     def test_long_rows_run_in_bounded_memory(self):
         # numpy reports its buffers to tracemalloc.  The 4 MB of outcomes, one
@@ -939,13 +952,39 @@ class TestEnsemble:
             tracemalloc.stop()
         assert peak < 2 * 8 * streams.BLOCK_ROWS * streams.VECTOR_STEPS
 
+    def test_jump_blocks_run_in_bounded_memory(self, monkeypatch):
+        # a busy jump ensemble (about 1.1 jumps a readout) in 16 blocks.  A
+        # block's paths take about 100 bytes a jump while they are drawn and
+        # read out (Python floats in lists, then arrays and temporaries); the
+        # block's readout entries it keeps, their join and the ensemble's
+        # pass over them about 64.  Drawn blockwise, the peak is the latter
+        # plus one block's 1/16 of the former; drawn in one pass, the former.
+        entries = []
+        read_out = protocol._read_out
+
+        def recorder(jump_times, levels, *args):
+            entries.append(levels.size)
+            return read_out(jump_times, levels, *args)
+
+        monkeypatch.setattr(protocol, "_read_out", recorder)
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 64)
+        sched = MeasurementSchedule(0.1, 100, ProjectorPartition.fine(40))
+        tracemalloc.start()
+        try:
+            run_ensemble(bath_from_gamma(1.0, 2.0), sched, 0, 40, 1024, 0, engine="gillespie")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(entries) > 100_000 and peak < 85 * sum(entries)
+        assert len(entries) == 16
+
     def test_coarse_row_in_chunks_matches_its_block(self, monkeypatch):
         # rows of 1000 steps in one block, then each alone in chunks of 384
         # uniforms, its state carried from chunk to chunk
         sched = MeasurementSchedule(0.3, 1000, coarse_partition(4))
         whole = run_ensemble(PARAMS, sched, 1, 4, 3, 5)
         monkeypatch.setattr(streams, "BLOCK_ROWS", 2)
-        assert streams._block_rows(sched.steps) == 1
+        assert [rows for _, rows, _ in streams._blocks(5, 0, 3, sched.steps)] == [1, 1, 1]
         chunked = run_ensemble(PARAMS, sched, 1, 4, 3, 5)
         assert np.array_equal(whole.starts, chunked.starts) and np.array_equal(whole.bins, chunked.bins)
         assert whole.bins.size > 10

@@ -175,15 +175,16 @@ class TestFitDecay:
             fit_decay(curve)
 
     def test_too_few_points_is_a_fit_failure(self):
+        # survival 1, 0.14, then below the 0.05 floor: two points, not three
         curve = SurvivalCurve.from_probabilities(np.arange(5.0), np.exp(-2.0 * np.arange(5.0)))
         with pytest.raises(FitError):
-            fit_decay(curve, floor=0.5)
+            fit_decay(curve)
 
     def test_window_reports_used_range(self):
         times = 0.5 * np.arange(30)
         curve = SurvivalCurve.from_probabilities(times, np.exp(-0.4 * times))
-        fit = fit_decay(curve, floor=0.05)
-        assert fit.window.floor == 0.05
+        fit = fit_decay(curve)
+        assert fit.window.floor == 0.05 and fit.window.min_survivors == 10.0
         assert fit.window.n_points < 30  # deep tail excluded
         assert fit.window.t_min == 0.0
 
