@@ -80,8 +80,12 @@ COARSE_SHAPES = (
     (40, 200, 100, N_THERMAL, DT, 1), (40, 4_096, 100, N_THERMAL, DT, 1),
     (40, 4_096, 100, 2.0, 0.1, 1), (40, 4_096, 100, 2.0, 0.1, 2),
 )
-# AC4 and dwell --engine gillespie, then AC5
-JUMP_SHAPES = ((1, 1, 4_000_000), (40, 2_000, 1_000))
+# (truncation, rows, steps, n_thermal, gdt): AC4 and dwell --engine gillespie,
+# AC5, then survival --engine gillespie --n-thermal 2 --trunc 40 --gdt 0.1
+# --horizon 10 --traj 8193, busy rows in three blocks, the last of one row
+JUMP_SHAPES = (
+    (1, 1, 4_000_000, N_THERMAL, DT), (40, 2_000, 1_000, N_THERMAL, DT), (40, 8_193, 100, 2.0, 0.1),
+)
 # dwell --trunc 1 --traj 20000000: one row drawn and walked in chunks
 LUDERS_SHAPES = ((1, 1, 20_000_000),)
 DWELL_SHAPE = (1, 1, 4_000_000)
@@ -161,9 +165,11 @@ def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float, first_
     return run
 
 
-def _ensemble(trunc: int, n: int, steps: int, engine: str = "luders", seed: int = 0):
-    schedule = protocol.MeasurementSchedule(DT, steps, ProjectorPartition.fine(trunc))
-    return lambda: protocol.run_ensemble(PARAMS, schedule, 0, trunc, n, seed, engine=engine)
+def _ensemble(trunc: int, n: int, steps: int, n_thermal: float = N_THERMAL, gdt: float = DT,
+              engine: str = "luders", seed: int = 0):
+    params = bath_from_gamma(1.0, n_thermal)
+    schedule = protocol.MeasurementSchedule(gdt, steps, ProjectorPartition.fine(trunc))
+    return lambda: protocol.run_ensemble(params, schedule, 0, trunc, n, seed, engine=engine)
 
 
 def _transition(trunc: int, duration: float):
@@ -179,18 +185,18 @@ def _entry(layer: str, shape: tuple, times: list[float], peak_mb: float | None) 
 
 
 def _layers(repeats: int) -> list[dict]:
-    ac5 = _ensemble(*AC5_SHAPE)(), _ensemble(*AC5_SHAPE, "gillespie", seed=11)()
+    ac5 = _ensemble(*AC5_SHAPE)(), _ensemble(*AC5_SHAPE, engine="gillespie", seed=11)()
     dwells = [stats.dwell_statistics(e).interior_dwell_lengths[0] for e in ac5]
     start = time.perf_counter()
     stats.ks_distance(*dwells)
     ks_import = time.perf_counter() - start
     survival = _ensemble(*SURVIVAL_SHAPE)()
-    record = _ensemble(*DWELL_SHAPE, "gillespie")()
+    record = _ensemble(*DWELL_SHAPE, engine="gillespie")()
     cases = [("uniforms", (None, n, s, None, None), _uniforms(n, s)) for n, s in UNIFORM_SHAPES]
     cases += [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
     cases += [("coarse_outcomes", shape, _engine(*shape)) for shape in COARSE_SHAPES]
     cases += [("luders_engine", shape + DEFAULTS, _ensemble(*shape)) for shape in LUDERS_SHAPES]
-    cases += [("jump_engine", shape + DEFAULTS, _ensemble(*shape, "gillespie")) for shape in JUMP_SHAPES]
+    cases += [("jump_engine", shape, _ensemble(*shape, engine="gillespie")) for shape in JUMP_SHAPES]
     cases += [
         ("record", shape + DEFAULTS, partial(protocol._runs, e.starts, e.bins, e.n_traj, e.schedule.steps))
         for shape, e in ((SURVIVAL_SHAPE, survival), (DWELL_SHAPE, record))

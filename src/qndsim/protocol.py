@@ -134,49 +134,24 @@ def _outcome_dtype(n_bins: int) -> type:
     return np.int16 if n_bins <= np.iinfo(np.int16).max + 1 else np.int32
 
 
-def _jump_path(ups: list, downs: list, horizon: float, level: int, rng) -> tuple[list, list]:
-    """One jump-process path up to ``horizon``: its jump times and its levels
-    (the initial one, then one per jump), at rates ``ups[n]`` up and
-    ``downs[n]`` down from level n.  Per jump the stream gives one
-    exponential holding time, then (unless the jump falls past the horizon)
-    one uniform for its direction; a level with no rate out is absorbing."""
-    t = 0.0
-    jump_times: list[float] = []
-    levels = [level]
-    while True:
-        up, down = ups[level], downs[level]
-        total = up + down
-        if total == 0.0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t >= horizon:
-            break
-        level += 1 if rng.random() < up / total else -1
-        jump_times.append(t)
-        levels.append(level)
-    return jump_times, levels
-
-
-def _read_out(jump_times, levels: np.ndarray, path_levels, dt: float, steps: int):
+def _read_out(times, bins: np.ndarray, path_lengths, dt: float, steps: int):
     """Runs of paths sampled at ``dt * (i + 1)``, ``i < steps``, one row each.
 
-    Path r is the next ``path_levels[r]`` entries of ``levels`` (its initial
-    bin, then its bin after each jump), and ``jump_times`` holds the
-    jumps of all paths in the same order, one fewer per path.  A jump's run
-    starts at its first sample number, the least k with ``dt * k >= t``:
-    ``ceil(t / dt)`` corrected once each way with that same float product
-    (enough while ``t / dt < 2**51``).  :func:`_runs` drops the runs of jumps
-    past the last sample and of jumps followed by another before a sample.
+    Path r is the next ``path_lengths[r]`` entries of ``times`` and ``bins``:
+    its initial bin at time 0.0, then its bin after each jump at the jump's
+    time.  An entry's run starts at its first sample number, the least k with
+    ``dt * k >= t`` (0 at time 0.0): ``ceil(t / dt)`` corrected once each way
+    with that same float product (enough while ``t / dt < 2**51``).
+    :func:`_runs` drops the runs of jumps past the last sample and of jumps
+    followed by another before a sample.
     """
-    times = np.asarray(jump_times, dtype=float)
+    times = np.asarray(times, dtype=float)
     k = np.ceil(times / dt)
     k += dt * k < times
     k -= dt * (k - 1) >= times
-    head = np.zeros(levels.size, dtype=bool)
-    head[np.cumsum(path_levels) - path_levels] = True  # each path's initial level
-    starts = (np.cumsum(head) - 1) * steps  # each entry's row * steps
-    starts[~head] += np.clip(k - 1, 0, steps).astype(np.intp)
-    return starts, levels
+    starts = np.repeat(np.arange(len(path_lengths)) * steps, path_lengths)  # each entry's row * steps
+    starts += np.clip(k - 1, 0, steps).astype(np.intp)
+    return starts, bins
 
 
 def _window_width(n_rows: int, leave_rate: float) -> int:
@@ -410,6 +385,35 @@ def _luders_block(tmat: np.ndarray, pop: PopulationVector, partition: ProjectorP
     return _fine_outcomes(tmat, pop, uniforms)
 
 
+def _jump_block(ups, downs, partition: ProjectorPartition, schedule: MeasurementSchedule, level: int, rngs):
+    """Maximal runs (:func:`_runs`) of one block of jump-process paths from
+    ``level``, a row per Generator of ``rngs``, at rates ``ups[n]`` up and
+    ``downs[n]`` down from level n (a level with no rate out is absorbing).
+    Per jump a stream gives one exponential holding time, then (unless the
+    jump falls past the horizon) one uniform for its direction.  The block's
+    paths are drawn into shared lists, each its initial level at time 0.0
+    first, then read out at once (:func:`_read_out`) and joined into runs.
+    """
+    horizon = schedule.horizon
+    times, levels, path_lengths = [], [], []
+    for rng in rngs:
+        t, k, first = 0.0, level, len(levels)
+        while True:
+            times.append(t)
+            levels.append(k)
+            total = ups[k] + downs[k]
+            if total == 0.0:
+                break
+            t += rng.exponential(1.0 / total)
+            if t >= horizon:
+                break
+            k += 1 if rng.random() < ups[k] / total else -1
+        path_lengths.append(len(levels) - first)
+    bins = partition.level_bin.astype(_outcome_dtype(partition.n_bins))[levels]
+    runs = _read_out(times, bins, path_lengths, schedule.dt, schedule.steps)
+    return _runs(*runs, len(path_lengths), schedule.steps)
+
+
 def run_ensemble(
     params: BathParams,
     schedule: MeasurementSchedule,
@@ -428,10 +432,10 @@ def run_ensemble(
     concatenated is bit-identical to the unsplit run.  Both engines run the
     blocks of :func:`streams._blocks`, one at a time, so their working
     memory is bounded by one block, not by the ensemble or the row: the
-    Lüders engine draws each block's uniforms (:func:`_luders_block`), and
-    the jump engine draws its block's paths from their Generators and reads
-    them out (:func:`_jump_path`, :func:`_read_out`).  Both engines take any
-    partition.
+    Lüders engine draws each block's uniforms (:func:`_luders_block`), the
+    jump engine its block's paths (:func:`_jump_block`), and each block is
+    read out and joined into runs before the next is drawn.  Both engines
+    take any partition.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
@@ -452,13 +456,8 @@ def run_ensemble(
     steps, runs = schedule.steps, []
     for start, rows, chunks in streams._blocks(master_seed, first_index, n_traj, steps):
         if engine == "gillespie":
-            jump_times, levels, path_levels = [], [], []
-            for rng in streams._streams(master_seed, first_index + start, rows):
-                times, path = _jump_path(ups, downs, schedule.horizon, level, rng)
-                jump_times += times
-                levels += path
-                path_levels.append(len(path))
-            starts, bins = _read_out(jump_times, partition.level_bin[levels], path_levels, schedule.dt, steps)
+            starts, bins = _jump_block(ups, downs, partition, schedule, level,
+                                       streams._streams(master_seed, first_index + start, rows))
         else:
             starts, bins = _luders_block(tmat, pop, partition, rows, chunks)
         starts += start * steps

@@ -178,22 +178,21 @@ def _streams(master_seed: int, first_index: int, n: int):
 
     Contract: the k-th Generator yielded, however it is drawn from, produces
     bit for bit what ``np.random.Generator(np.random.PCG64(
-    np.random.SeedSequence((master_seed, first_index + k))))`` would.  Its
-    state comes from the same vectorized :func:`_srandom` as the numpy draw
-    of :func:`_uniforms`.
+    np.random.SeedSequence((master_seed, first_index + k))))`` would.  The
+    states of all n come at once from the same vectorized :func:`_srandom`
+    as the numpy draw of :func:`_uniforms`.
     """
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    for start in range(0, n, BLOCK_ROWS):
-        state, inc = _srandom(_seed_words(master_seed, first_index + start, min(BLOCK_ROWS, n - start)))
-        for state_high, state_low, inc_high, inc_low in np.stack(state + inc, axis=1).tolist():
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+    state, inc = _srandom(_seed_words(master_seed, first_index, n))
+    for state_high, state_low, inc_high, inc_low in np.stack(state + inc, axis=1).tolist():
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _row_uniforms(master_seed: int, index: int, steps: int):

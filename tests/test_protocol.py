@@ -654,6 +654,32 @@ class TestGillespieEngine:
             chunks = np.split(reference, range(0, steps, 65536)[1:])
             assert len(chunks) == 4 and all(np.any(np.diff(c)) for c in chunks)
 
+    @pytest.mark.parametrize("partition", [ProjectorPartition.fine(4), coarse_partition(4)], ids=["fine", "coarse"])
+    def test_blocks_of_paths_match_the_reference_record(self, monkeypatch, partition):
+        # 10 rows in blocks of 3, 3, 3 and 1 across trajectory index 2**32, where
+        # a seed's entropy grows a word; every block comes back as maximal runs
+        params, first_index = bath_from_gamma(1.0, 0.5), 2**32 - 5
+        sched = MeasurementSchedule(0.1, 50, partition)
+        jump_block, block_rows = protocol._jump_block, []
+
+        def checked(*args):
+            starts, bins = jump_block(*args)
+            rows = np.count_nonzero(starts % sched.steps == 0)
+            again = protocol._runs(starts, bins, rows, sched.steps)
+            assert np.array_equal(again[0], starts) and np.array_equal(again[1], bins)
+            assert bins.dtype == np.int16
+            block_rows.append(rows)
+            return starts, bins
+
+        monkeypatch.setattr(protocol, "_jump_block", checked)
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 3)
+        ens = run_ensemble(params, sched, 1, 4, 10, 3, "gillespie", first_index=first_index)
+        assert block_rows == [3, 3, 3, 1]
+        for i, row in enumerate(ens.outcomes):
+            reference = reference_jump_record(params, sched, 1, 4, (3, first_index + i))
+            assert np.array_equal(row, partition.level_bin[reference])
+        assert ens.bins.size > 3 * ens.n_traj
+
     def test_single_step_occupation_matches_chain_oracle(self):
         dt = 0.4
         sched = MeasurementSchedule(dt, 1, ProjectorPartition.fine(1))
@@ -682,7 +708,7 @@ def searchsorted_readout(jump_times, levels, dt, steps):
 
 def read_out(jump_times, levels, dt, steps):
     """One path's readout, from its runs made maximal and expanded."""
-    runs = protocol._read_out(jump_times.tolist(), levels, [levels.size], dt, steps)
+    runs = protocol._read_out([0.0, *jump_times.tolist()], levels, [levels.size], dt, steps)
     starts, bins = protocol._runs(*runs, 1, steps)
     return np.repeat(bins, np.diff(starts, append=steps))
 
@@ -733,7 +759,7 @@ class TestReadOut:
         # 0 -> 1 -> 0 between the samples at 0.1 and 0.2: level 1 is never read
         # out, and the runs of 0 on either side of it are one run
         jumps, levels = np.array([0.13, 0.17]), np.array([0, 1, 0], dtype=np.int16)
-        runs = protocol._read_out(jumps.tolist(), levels, [3], 0.1, 5)
+        runs = protocol._read_out([0.0, *jumps.tolist()], levels, [3], 0.1, 5)
         assert protocol._runs(*runs, 1, 5)[0].tolist() == [0]
         assert np.array_equal(read_out(jumps, levels, 0.1, 5), searchsorted_readout(jumps, levels, 0.1, 5))
 
@@ -741,7 +767,7 @@ class TestReadOut:
         # levels 0 -> 1 -> 2 read out as bins 0, 1, 1 of {0} | {1, 2}, in the
         # second of two paths: one run of bin 1 from the first jump's sample on
         bins = ProjectorPartition(2, ((0,), (1, 2))).level_bin[[0, 0, 1, 2]]
-        runs = protocol._read_out([0.25, 0.35], bins, [1, 3], 0.1, 5)
+        runs = protocol._read_out([0.0, 0.0, 0.25, 0.35], bins, [1, 3], 0.1, 5)
         starts, got = protocol._runs(*runs, 2, 5)
         assert starts.tolist() == [0, 5, 7] and got.tolist() == [0, 0, 1]
 
@@ -953,18 +979,21 @@ class TestEnsemble:
         assert peak < 2 * 8 * streams.BLOCK_ROWS * streams.VECTOR_STEPS
 
     def test_jump_blocks_run_in_bounded_memory(self, monkeypatch):
-        # a busy jump ensemble (about 1.1 jumps a readout) in 16 blocks.  A
-        # block's paths take about 100 bytes a jump while they are drawn and
-        # read out (Python floats in lists, then arrays and temporaries); the
-        # block's readout entries it keeps, their join and the ensemble's
-        # pass over them about 64.  Drawn blockwise, the peak is the latter
-        # plus one block's 1/16 of the former; drawn in one pass, the former.
+        # a busy jump ensemble (about 1.1 jumps a readout) in 16 blocks.  An
+        # entry is a jump or a path's initial level at time 0.0, as _read_out
+        # gets them.  A block's entries take about 80 bytes each while they
+        # are drawn and read out (a float and two list slots, then arrays),
+        # and the block is joined into runs (about 0.4 an entry, 10 bytes
+        # each) before the next is drawn.  So the peak, 19 to 26 bytes an
+        # entry (a margin of 1.5 or more), is one block's 1/16 of the former
+        # plus the ensemble's join of its runs.  Blocks that kept their
+        # 16-byte entries until the join would peak at 57 to 64.
         entries = []
         read_out = protocol._read_out
 
-        def recorder(jump_times, levels, *args):
-            entries.append(levels.size)
-            return read_out(jump_times, levels, *args)
+        def recorder(times, bins, *args):
+            entries.append(bins.size)
+            return read_out(times, bins, *args)
 
         monkeypatch.setattr(protocol, "_read_out", recorder)
         monkeypatch.setattr(streams, "BLOCK_ROWS", 64)
@@ -975,7 +1004,7 @@ class TestEnsemble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(entries) > 100_000 and peak < 85 * sum(entries)
+        assert sum(entries) > 100_000 and peak < 40 * sum(entries)
         assert len(entries) == 16
 
     def test_coarse_row_in_chunks_matches_its_block(self, monkeypatch):
