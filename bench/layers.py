@@ -22,10 +22,10 @@ drawn before the clock starts, ``coarse_outcomes`` on the partition
 {0..first_bin-1} | {first_bin..trunc} (``first_bin`` is null in every
 other layer); ``luders_engine`` and ``jump_engine`` are
 ``run_ensemble`` with each engine, the Lüders one on a row too long to
-hold its uniforms at once; ``record`` is ``protocol._runs``, the normalizer that
-every ensemble's runs pass through, on the runs that ``estimate_survival``
-and ``dwell_statistics`` read; ``transition_matrix`` is one build over ``gdt``;
-``ks_distance`` is AC5's test on level-0 interior dwells, and ``ks_import``
+hold its uniforms at once; ``record`` is ``protocol._runs``, the check that
+every ensemble's runs pass through, which keeps an engine's runs as they
+are, on the runs that ``estimate_survival`` and ``dwell_statistics`` read;
+``transition_matrix`` is one build over ``gdt``; ``ks_distance`` is AC5's test on level-0 interior dwells, and ``ks_import``
 its first call, which imports scipy (one untraced run, so no peak).
 ``--before`` takes this script's JSON from another revision (run with that
 revision's ``src`` on ``PYTHONPATH``) and adds its numbers and the speed-up
@@ -86,8 +86,10 @@ COARSE_SHAPES = (
 JUMP_SHAPES = (
     (1, 1, 4_000_000, N_THERMAL, DT), (40, 2_000, 1_000, N_THERMAL, DT), (40, 8_193, 100, 2.0, 0.1),
 )
-# dwell --trunc 1 --traj 20000000: one row drawn and walked in chunks
-LUDERS_SHAPES = ((1, 1, 20_000_000),)
+# (truncation, rows, steps, n_thermal, gdt): dwell --trunc 1 --traj 20000000,
+# one row drawn and walked in chunks; then a busy long row, 1e6 readouts at
+# n_thermal 5, gdt 1 (885 944 runs), whose peak is mostly its record
+LUDERS_SHAPES = ((1, 1, 20_000_000, N_THERMAL, DT), (40, 1, 1_000_000, 5.0, 1.0))
 DWELL_SHAPE = (1, 1, 4_000_000)
 # (truncation, gamma * duration): every command's readout interval, the
 # two-level chain of dwell, AC2 and AC3, and AC1's longest step (7 squarings)
@@ -195,7 +197,7 @@ def _layers(repeats: int) -> list[dict]:
     cases = [("uniforms", (None, n, s, None, None), _uniforms(n, s)) for n, s in UNIFORM_SHAPES]
     cases += [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
     cases += [("coarse_outcomes", shape, _engine(*shape)) for shape in COARSE_SHAPES]
-    cases += [("luders_engine", shape + DEFAULTS, _ensemble(*shape)) for shape in LUDERS_SHAPES]
+    cases += [("luders_engine", shape, _ensemble(*shape)) for shape in LUDERS_SHAPES]
     cases += [("jump_engine", shape, _ensemble(*shape, engine="gillespie")) for shape in JUMP_SHAPES]
     cases += [
         ("record", shape + DEFAULTS, partial(protocol._runs, e.starts, e.bins, e.n_traj, e.schedule.steps))

@@ -12,12 +12,19 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 # Normalization is allowed a little accumulated-arithmetic drift.
 NORM_TOL = 1e-9
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (``operator.index``) of at least 1."""
+    if not hasattr(type(value), "__index__") or operator.index(value) < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -105,8 +112,7 @@ class PopulationVector:
 
 def pure_level(n: int, truncation: int) -> PopulationVector:
     """All population on level ``n`` of a space truncated at ``truncation``."""
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+    check_count("truncation", truncation)
     if not 0 <= n <= truncation:
         raise ValueError(f"level {n} outside 0..{truncation}")
     w = np.zeros(truncation + 1)
@@ -121,8 +127,7 @@ def thermal_populations(params: BathParams, truncation: int) -> PopulationVector
     Renormalizing keeps the vector exactly normalized; the mass the
     truncation discards is bounded by :func:`thermal_tail_mass`.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+    check_count("truncation", truncation)
     if math.isinf(params.boltzmann_ratio):
         return pure_level(0, truncation)
     w = np.exp(-params.boltzmann_ratio * np.arange(truncation + 1))
@@ -189,7 +194,6 @@ class BirthDeathGenerator:
 
 def build_generator(params: BathParams, truncation: int) -> BirthDeathGenerator:
     """Relaxation generator for the given bath on levels 0..N."""
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+    check_count("truncation", truncation)
     ladder = np.arange(1, truncation + 1, dtype=float)
     return BirthDeathGenerator(params.emission_rate * ladder, params.absorption_rate * ladder)

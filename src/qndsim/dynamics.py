@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BathParams, BirthDeathGenerator, PopulationVector
+from .core import BathParams, BirthDeathGenerator, PopulationVector, check_count
 
 # Neglected Poisson tail of a build (total-variation error).  A build runs one
 # series over at most _SERIES_EVENTS mean uniformized events, with its tail
@@ -170,8 +170,7 @@ def survival_product(params: BathParams, k: int, dt: float, steps: int) -> float
     """Probability that ``steps`` consecutive measurements spaced ``dt`` apart
     all return level k, starting from pure level k: the single-interval
     analytic population raised to the m-th power."""
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    check_count("steps", steps)
     return two_level_population(params, k, dt) ** steps
 
 

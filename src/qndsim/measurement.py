@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import PopulationVector
+from .core import PopulationVector, check_count
 
 
 class ZeroProbabilityError(ValueError):
@@ -33,8 +33,7 @@ class ProjectorPartition:
     bins: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.truncation < 1:
-            raise ValueError("truncation must be at least 1")
+        check_count("truncation", self.truncation)
         try:
             bins = tuple(tuple(sorted(map(operator.index, b))) for b in self.bins)
         except TypeError:

@@ -21,6 +21,7 @@ and partial-Zeno laws the engines are checked against are in
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import streams
-from .core import BathParams, PopulationVector, build_generator, pure_level
+from .core import BathParams, PopulationVector, build_generator, check_count, pure_level
 from .dynamics import transition_matrix
 from .measurement import ProjectorPartition, ZeroProbabilityError, bin_masses, collapse
 
@@ -51,8 +52,7 @@ class MeasurementSchedule:
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        check_count("steps", self.steps)
         if self.horizon == math.inf:
             raise ValueError(f"horizon = {self.steps} * {self.dt} overflows")
 
@@ -65,7 +65,9 @@ class MeasurementSchedule:
 class Ensemble:
     """Readouts of trajectories ``first_index + r``, ``r < n_traj``, at dt, ...,
     steps*dt, as maximal runs (:func:`_runs`): bin ``bins[i]`` for ``lengths[i]``
-    readouts from flat readout ``starts[i] = r * steps + step`` of row r."""
+    readouts from flat readout ``starts[i] = r * steps + step`` of row r.  Both
+    are read-only: runs that are read-only and no view (as :func:`run_ensemble`
+    hands them over) are kept as they are, any others copied."""
 
     schedule: MeasurementSchedule
     initial_level: int | None
@@ -78,10 +80,11 @@ class Ensemble:
 
     def __post_init__(self):
         n_bins = self.schedule.partition.n_bins
-        starts, bins = _runs(self.starts, self.bins, self.n_traj, self.schedule.steps)
-        if bins.min() < 0 or bins.max() >= n_bins:
+        runs = _runs(self.starts, self.bins, self.n_traj, self.schedule.steps)
+        if runs[1].min() < 0 or runs[1].max() >= n_bins:
             raise ValueError("outcome outside the partition's bin range")
-        for name, arr in (("starts", starts), ("bins", bins.astype(_outcome_dtype(n_bins), copy=False))):
+        for name, arr, dtype in zip(("starts", "bins"), runs, (np.intp, _outcome_dtype(n_bins))):
+            arr = arr.astype(dtype, copy=arr.flags.writeable or isinstance(arr.base, np.ndarray))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -101,32 +104,23 @@ def _runs(starts, bins, n_rows: int, steps: int) -> tuple[np.ndarray, np.ndarray
     """The maximal runs of ``n_rows`` rows of ``steps`` readouts, from runs in
     start order (see :class:`Ensemble`): a run that holds no readout is
     dropped, and one in the bin of the run before it in its row joins that
-    run.  Every row's first readout must start a run."""
-    starts, bins = np.asarray(starts, dtype=np.intp), np.asarray(bins)
-    lengths = np.diff(starts, append=n_rows * steps)
-    if n_rows < 1 or bins.shape != starts.shape or starts[:1].tolist() != [0] or lengths.min() < 0:
+    run.  Every row's first readout must start a run; starts and bins are
+    integers, not bool.  Runs already maximal come back as the input arrays
+    themselves (the starts cast to intp if they are not)."""
+    starts, bins = np.asarray(starts), np.asarray(bins)
+    if starts.dtype.kind not in "iu" or bins.dtype.kind not in "iu":
+        raise ValueError(f"run starts and bins must be integers, got {starts.dtype} and {bins.dtype}")
+    starts, end = starts.astype(np.intp, copy=False), n_rows * steps
+    if (n_rows < 1 or starts.ndim != 1 or bins.shape != starts.shape or starts[:1].tolist() != [0]
+            or np.any(starts[1:] < starts[:-1]) or starts[-1] > end):
         raise ValueError("runs need a bin per start, and starts ascending from 0 to the record's end")
-    starts, bins = starts[lengths > 0], bins[lengths > 0]
+    nonempty = np.append(starts[1:] != starts[:-1], starts[-1] != end)
+    starts, bins = (starts, bins) if nonempty.all() else (starts[nonempty], bins[nonempty])
     keep = starts % steps == 0
     if np.count_nonzero(keep) != n_rows:
         raise ValueError("every row's first readout must start a run")
     keep[1:] |= bins[1:] != bins[:-1]
-    return starts[keep], bins[keep]
-
-
-def _as_population(initial: PopulationVector | int, truncation: int) -> PopulationVector:
-    if isinstance(initial, PopulationVector):
-        if initial.truncation != truncation:
-            raise ValueError(
-                f"initial truncation {initial.truncation} != requested truncation {truncation}"
-            )
-        return initial
-    return pure_level(int(initial), truncation)
-
-
-def _initial_level(pop: PopulationVector) -> int | None:
-    nz = np.flatnonzero(pop.weights)
-    return int(nz[0]) if nz.size == 1 else None
+    return (starts, bins) if keep.all() else (starts[keep], bins[keep])
 
 
 def _outcome_dtype(n_bins: int) -> type:
@@ -150,7 +144,7 @@ def _read_out(times, bins: np.ndarray, path_lengths, dt: float, steps: int):
     k += dt * k < times
     k -= dt * (k - 1) >= times
     starts = np.repeat(np.arange(len(path_lengths)) * steps, path_lengths)  # each entry's row * steps
-    starts += np.clip(k - 1, 0, steps).astype(np.intp)
+    starts += np.clip(k - 1, 0, steps, out=k).astype(np.intp)  # in place: one fewer float an entry
     return starts, bins
 
 
@@ -247,7 +241,7 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
         start += width
     starts = np.concatenate(run_starts)
     order = np.argsort(starts)
-    return starts[order], np.concatenate(run_levels)[order]
+    return starts[order], np.concatenate(run_levels, dtype=_outcome_dtype(tmat.shape[0]))[order]
 
 
 def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +259,8 @@ def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarr
     for a level left with chance ``q_k = 1 - tmat[k, k]`` above ``1 / L``, so
     that the L levels' leave positions together hold about one chunk.  A
     readout costs one interval test per level whose span covers it, and a
-    leave a few scalar operations.
+    leave a few scalar operations and one append to each of two typed
+    buffers, the runs' starts and levels in their record dtypes.
     """
     n_levels = tmat.shape[0]
     cum, lower, upper = _level_bounds(tmat)
@@ -273,15 +268,15 @@ def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarr
     shares = np.maximum(n_levels * (1.0 - np.diagonal(tmat)), 1.0)
     relaxed = tmat @ pop.weights
     level, position, offset = None, 1, 0
-    run_starts, run_levels = [], []
+    run_starts, run_levels = array(np.dtype(np.intp).char), array(np.dtype(_outcome_dtype(n_levels)).char)
     for chunk in chunks:
         # leaves[k]: the end of the span last compared for level k, and its leaves
-        u, leaves, found, levels = memoryview(chunk), {}, [], []
+        u, leaves = memoryview(chunk), {}
         spans = np.ceil(chunk.size / shares).astype(int).tolist()
         if level is None:  # the first readout
             level = int(_clamp(bisect_right(np.cumsum(relaxed).tolist(), u[0]), n_levels, relaxed[-1]))
-            found.append(0)
-            levels.append(level)
+            run_starts.append(0)
+            run_levels.append(level)
         while True:
             end, positions = leaves.get(level, (0, ()))
             i = bisect_left(positions, position)
@@ -289,8 +284,8 @@ def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarr
                 at = positions[i]
                 new = bisect_right(columns[level], u[at])
                 level = new if new < n_levels else int(_clamp(new, n_levels, top_mass[level]))
-                found.append(at)
-                levels.append(level)
+                run_starts.append(offset + at)
+                run_levels.append(level)
                 position = at + 1
             elif end < chunk.size:  # no leave before the span's end: compare the next span
                 start = max(position, end)
@@ -299,11 +294,9 @@ def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarr
                 leaves[level] = (start + span.size, memoryview(leave))
             else:
                 break
-        run_starts.append(np.array(found, dtype=np.intp) + offset)
-        run_levels.append(np.array(levels, dtype=np.intp))
         offset += chunk.size
         position = 0
-    return np.concatenate(run_starts), np.concatenate(run_levels)
+    return np.asarray(run_starts), np.asarray(run_levels)  # views of the buffers
 
 
 def _coarse_outcomes(tmat: np.ndarray, pop: PopulationVector, partition: ProjectorPartition, chunks):
@@ -381,8 +374,7 @@ def _luders_block(tmat: np.ndarray, pop: PopulationVector, partition: ProjectorP
         return _coarse_outcomes(tmat, pop, partition, chunks if rows > 1 else (c[None] for c in chunks))
     if rows == 1:
         return _fine_row(tmat, pop, chunks)
-    [uniforms] = chunks
-    return _fine_outcomes(tmat, pop, uniforms)
+    return _fine_outcomes(tmat, pop, *chunks)  # one (rows, steps) chunk
 
 
 def _jump_block(ups, downs, partition: ProjectorPartition, schedule: MeasurementSchedule, level: int, rngs):
@@ -391,16 +383,17 @@ def _jump_block(ups, downs, partition: ProjectorPartition, schedule: Measurement
     ``downs[n]`` down from level n (a level with no rate out is absorbing).
     Per jump a stream gives one exponential holding time, then (unless the
     jump falls past the horizon) one uniform for its direction.  The block's
-    paths are drawn into shared lists, each its initial level at time 0.0
-    first, then read out at once (:func:`_read_out`) and joined into runs.
+    paths are drawn into typed buffers shared by the block, each its initial
+    bin at time 0.0 first, then read out at once (:func:`_read_out`) and
+    joined into runs.
     """
-    horizon = schedule.horizon
-    times, levels, path_lengths = [], [], []
+    horizon, level_bin = schedule.horizon, partition.level_bin.tolist()
+    times, bins, path_lengths = array("d"), array(np.dtype(_outcome_dtype(partition.n_bins)).char), []
     for rng in rngs:
-        t, k, first = 0.0, level, len(levels)
+        t, k, first = 0.0, level, len(times)
         while True:
             times.append(t)
-            levels.append(k)
+            bins.append(level_bin[k])
             total = ups[k] + downs[k]
             if total == 0.0:
                 break
@@ -408,9 +401,8 @@ def _jump_block(ups, downs, partition: ProjectorPartition, schedule: Measurement
             if t >= horizon:
                 break
             k += 1 if rng.random() < ups[k] / total else -1
-        path_lengths.append(len(levels) - first)
-    bins = partition.level_bin.astype(_outcome_dtype(partition.n_bins))[levels]
-    runs = _read_out(times, bins, path_lengths, schedule.dt, schedule.steps)
+        path_lengths.append(len(times) - first)
+    runs = _read_out(times, np.asarray(bins), path_lengths, schedule.dt, schedule.steps)
     return _runs(*runs, len(path_lengths), schedule.steps)
 
 
@@ -437,15 +429,17 @@ def run_ensemble(
     read out and joined into runs before the next is drawn.  Both engines
     take any partition.
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
+    check_count("n_traj", n_traj)
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     partition = schedule.partition
     if partition.truncation != truncation:
         raise ValueError("partition truncation mismatch")
-    pop = _as_population(initial, truncation)
-    level = _initial_level(pop)
+    pop = initial if isinstance(initial, PopulationVector) else pure_level(int(initial), truncation)
+    if pop.truncation != truncation:
+        raise ValueError(f"initial truncation {pop.truncation} != requested truncation {truncation}")
+    nz = np.flatnonzero(pop.weights)
+    level = int(nz[0]) if nz.size == 1 else None
     gen = build_generator(params, truncation)
     if engine == "gillespie":
         if level is None:
@@ -462,5 +456,8 @@ def run_ensemble(
             starts, bins = _luders_block(tmat, pop, partition, rows, chunks)
         starts += start * steps
         runs.append((starts, bins))
-    starts, bins = map(np.concatenate, zip(*runs))
+    starts, bins = map(np.concatenate, zip(*runs)) if len(runs) > 1 else runs[0]
+    runs.clear()  # the blocks' runs, once joined, before Ensemble checks them
+    for arr in (starts, bins):
+        arr.setflags(write=False)  # handed over, not copied (Ensemble)
     return Ensemble(schedule, level, starts, bins, n_traj, master_seed, first_index, engine)

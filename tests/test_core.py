@@ -146,6 +146,14 @@ class TestThermalPopulations:
         with pytest.raises(ValueError):
             thermal_populations(bath_from_gamma(1.0, 0.1), 0)
 
+    @pytest.mark.parametrize("build", [thermal_populations, build_generator, lambda _, n: pure_level(0, n)],
+                             ids=["thermal", "generator", "pure"])
+    def test_rejects_non_integer_truncation(self, build):
+        # 2.5 levels would be read as np.arange(3.5), four levels
+        with pytest.raises(ValueError, match="truncation must be an integer"):
+            build(bath_from_gamma(1.0, 0.1), 2.5)
+        build(bath_from_gamma(1.0, 0.1), np.int64(2))  # numpy integers still pass
+
     def test_tail_mass(self):
         params = bath_from_gamma(1.0, 0.1)
         q = math.exp(-params.boltzmann_ratio)

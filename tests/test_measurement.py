@@ -75,6 +75,8 @@ class TestPartition:
             ProjectorPartition(2, ((0, 1, 2), ()))
         with pytest.raises(ValueError):
             ProjectorPartition(2, ((0,), (1.7, 2)))
+        with pytest.raises(ValueError, match="truncation must be an integer"):
+            ProjectorPartition(2.0, ((0,), (1, 2)))
 
 
 class TestOutcomeProbabilities:

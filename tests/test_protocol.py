@@ -161,6 +161,13 @@ class TestSchedule:
         with pytest.raises(ValueError, match="overflows"):
             MeasurementSchedule(1e308, 10, ProjectorPartition.fine(2))
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, "3", None])
+    def test_rejects_non_integer_steps(self, steps):
+        # a float count would fail later, inside the block layout
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            MeasurementSchedule(0.1, steps, ProjectorPartition.fine(1))
+        assert MeasurementSchedule(0.1, np.int64(3), ProjectorPartition.fine(1)).horizon == pytest.approx(0.3)
+
 
 # blocks of two rows, scanned, and of one row, walked (fine) or chunked (coarse)
 TOP_UNIFORM_CASES = [
@@ -565,13 +572,35 @@ class TestFineRowWalk:
         firsts = {self.walk(params, sched, thermal_populations(params, 5), 5, 7, i)[0] for i in range(20)}
         assert len(firsts) >= 3
 
+    def test_busy_record_peaks_below_three_times_its_runs(self, monkeypatch):
+        # a busy fine(40) row (n_thermal 5, gamma * dt = 1: a leave at 9 in 10
+        # readouts), 50 000 readouts in chunks of 5 000.  Its record holds
+        # 10 bytes a run (an intp start and an int16 bin).  Its runs are
+        # appended to typed buffers once, and the check keeps them as they
+        # are, so the peak is the runs and the check's masks and remainders,
+        # about 21 bytes a run.  Runs listed as Python ints, packed, joined
+        # and copied twice more by the check peaked at about 73.
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 1)
+        monkeypatch.setattr(streams, "VECTOR_STEPS", 5_000)
+        sched = MeasurementSchedule(1.0, 50_000, ProjectorPartition.fine(40))
+        run_ensemble(bath_from_gamma(1.0, 5.0), sched, 0, 40, 1, 0)  # imports and caches untraced
+        tracemalloc.start()
+        try:
+            ens = run_ensemble(bath_from_gamma(1.0, 5.0), sched, 0, 40, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.starts.size > 40_000
+        assert peak < 30 * ens.starts.size
+
     def test_busy_row_keeps_about_one_chunk_of_leave_positions(self, monkeypatch):
         # at n_thermal 5 and gamma * dt = 1 a fine(40) row leaves at 9 in 10
         # readouts and visits most levels in a chunk: the leave positions of
         # the whole chunk for each level visited would be about 40 chunks of
-        # int64, and spans keep them to about one.  The runs (listed as
-        # Python ints, then two int64 arrays, then joined) and the compare
-        # masks take the rest, about 10 chunks in all.
+        # int64, and spans keep them to about one.  The runs, appended to an
+        # intp and an int16 buffer (10 bytes a run, about 0.9 a readout), and
+        # the compare masks take the rest: about 2.8 chunks in all.  Runs
+        # listed as Python ints, then packed and joined, took about 10.
         size = 20_000
         monkeypatch.setattr(streams, "BLOCK_ROWS", 1)
         monkeypatch.setattr(streams, "VECTOR_STEPS", size)
@@ -584,7 +613,7 @@ class TestFineRowWalk:
         finally:
             tracemalloc.stop()
         assert starts.size > 0.8 * size
-        assert peak < 16 * 8 * size
+        assert peak < 6 * 8 * size
 
     @pytest.mark.parametrize("initial", [0, 3], ids=["bottom", "top"])
     def test_long_row_over_many_chunks(self, initial):
@@ -770,6 +799,79 @@ class TestReadOut:
         runs = protocol._read_out([0.0, 0.0, 0.25, 0.35], bins, [1, 3], 0.1, 5)
         starts, got = protocol._runs(*runs, 2, 5)
         assert starts.tolist() == [0, 5, 7] and got.tolist() == [0, 0, 1]
+
+
+class TestRecord:
+    """``_runs``, the one definition of a valid record, and what an Ensemble
+    keeps of the arrays it is given."""
+
+    SCHEDULE = MeasurementSchedule(0.1, 4, ProjectorPartition.fine(1))
+
+    @pytest.mark.parametrize("starts, bins", [
+        ([0, 2], [0.0, 1.7]), ([0.0, 2.9], [0, 1]), ([0, 2], [True, False]), ([False, True], [0, 1]),
+    ], ids=["float-bins", "float-starts", "bool-bins", "bool-starts"])
+    def test_rejects_non_integer_starts_and_bins(self, starts, bins):
+        # read as ints these would be the valid records [0, 2] | [0, 1] or [0, 1] | [0, 1]
+        with pytest.raises(ValueError, match="integers"):
+            protocol.Ensemble(self.SCHEDULE, None, starts, bins, 1, 0, 0, "x")
+        with pytest.raises(ValueError, match="integers"):
+            protocol._runs(np.array(starts), np.array(bins), 1, 4)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64, np.int64])
+    def test_takes_any_integer_dtype(self, dtype):
+        starts, bins = np.array([0, 2], dtype), np.array([0, 1], dtype)
+        ens = protocol.Ensemble(self.SCHEDULE, None, starts, bins, 1, 0, 0, "x")
+        assert ens.outcomes.tolist() == [[0, 0, 1, 1]]
+        assert ens.starts.dtype == np.intp and ens.bins.dtype == np.int16
+
+    def test_maximal_runs_come_back_as_their_inputs(self):
+        # two rows of 4 readouts; the run at 4 starts row 1, so it stays apart
+        # from the same-bin run before it
+        starts, bins = np.array([0, 2, 4, 5], dtype=np.intp), np.array([0, 1, 1, 0], dtype=np.int16)
+        got = protocol._runs(starts, bins, 2, 4)
+        assert got[0] is starts and got[1] is bins
+        # an empty run is dropped and a same-bin neighbour joined, in new arrays
+        cases = (([0, 2, 2, 4, 5], [0, 0, 1, 1, 0], [0, 2, 4, 5]), ([0, 2, 4, 5], [0, 1, 1, 1], [0, 2, 4]))
+        for starts, bins, want in cases:
+            starts, bins = np.array(starts, dtype=np.intp), np.array(bins, dtype=np.int16)
+            got = protocol._runs(starts, bins, 2, 4)
+            assert got[0].tolist() == want and got[0] is not starts and got[1] is not bins
+
+    def test_a_caller_built_record_neither_freezes_nor_follows_its_arrays(self):
+        starts, bins = np.array([0, 2]), np.array([0, 1], dtype=np.int16)
+        ens = protocol.Ensemble(self.SCHEDULE, None, starts, bins, 1, 0, 0, "x")
+        starts[1], bins[0] = 3, 1  # still writeable, and the record does not see it
+        assert ens.starts.tolist() == [0, 2] and ens.bins.tolist() == [0, 1]
+        assert not (ens.starts.flags.writeable or ens.bins.flags.writeable)
+        # a read-only view is copied too: its base can still be written
+        base = np.array([0, 2, 1, 0])
+        view = base[:2]
+        view.setflags(write=False)
+        ens = protocol.Ensemble(self.SCHEDULE, None, view, base[2:], 1, 0, 0, "x")
+        base[:] = [0, 1, 0, 1]
+        assert ens.starts.tolist() == [0, 2] and ens.bins.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("engine, n_traj, steps", [
+        ("luders", 1, 60), ("luders", 5, 12), ("gillespie", 5, 12),
+    ], ids=["row-walked-in-chunks", "blocks-scanned", "jump-blocks"])
+    def test_engines_hand_over_their_runs_uncopied(self, monkeypatch, engine, n_traj, steps):
+        # a row of five 12-readout chunks, or 5 rows in blocks of 2, 2 and 1:
+        # the record's check gets the engine's runs, read-only, and keeps them
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 2)
+        monkeypatch.setattr(streams, "VECTOR_STEPS", 6)
+        runs, checked = protocol._runs, []
+
+        def check(starts, bins, *args):
+            checked.append((starts, bins))
+            return runs(starts, bins, *args)
+
+        monkeypatch.setattr(protocol, "_runs", check)
+        sched = MeasurementSchedule(0.3, steps, ProjectorPartition.fine(4))
+        ens = run_ensemble(bath_from_gamma(1.0, 2.0), sched, 0, 4, n_traj, 1, engine)
+        assert ens.starts is checked[-1][0] and ens.bins is checked[-1][1]
+        assert ens.bins.size > 2 * n_traj
+        again = protocol.Ensemble(sched, 0, ens.starts, ens.bins, n_traj, 1, 0, engine)
+        assert again.starts is ens.starts and again.bins is ens.bins
 
 
 class TestSurvivalFormulas:
@@ -981,13 +1083,14 @@ class TestEnsemble:
     def test_jump_blocks_run_in_bounded_memory(self, monkeypatch):
         # a busy jump ensemble (about 1.1 jumps a readout) in 16 blocks.  An
         # entry is a jump or a path's initial level at time 0.0, as _read_out
-        # gets them.  A block's entries take about 80 bytes each while they
-        # are drawn and read out (a float and two list slots, then arrays),
-        # and the block is joined into runs (about 0.4 an entry, 10 bytes
-        # each) before the next is drawn.  So the peak, 19 to 26 bytes an
-        # entry (a margin of 1.5 or more), is one block's 1/16 of the former
-        # plus the ensemble's join of its runs.  Blocks that kept their
-        # 16-byte entries until the join would peak at 57 to 64.
+        # gets them.  A block's entries take about 35 bytes each while they
+        # are drawn and read out (a float and an int16 bin in typed buffers,
+        # then the read-out arrays), and the block is joined into runs (about
+        # 0.4 an entry, 10 bytes each) before the next is drawn.  So the peak,
+        # about 8 bytes an entry, is one block's 1/16 of the former plus the
+        # ensemble's runs, joined once and then checked and kept as they are.
+        # Entries drawn into lists of Python floats and ints peaked at 19 to
+        # 26; blocks that kept their 16-byte entries until the join at 57 to 64.
         entries = []
         read_out = protocol._read_out
 
@@ -1004,7 +1107,7 @@ class TestEnsemble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(entries) > 100_000 and peak < 40 * sum(entries)
+        assert sum(entries) > 100_000 and peak < 16 * sum(entries)
         assert len(entries) == 16
 
     def test_coarse_row_in_chunks_matches_its_block(self, monkeypatch):
@@ -1089,6 +1192,14 @@ class TestEnsemble:
             run_ensemble(PARAMS, sched, 0, 1, 0, 0)
         with pytest.raises(ValueError):
             run_ensemble(PARAMS, sched, 0, 1, 5, 0, engine="euler")
+
+    @pytest.mark.parametrize("engine", ["luders", "gillespie"])
+    def test_rejects_non_integer_n_traj(self, engine):
+        # a float count would fail later, inside the block layout
+        sched = MeasurementSchedule(0.05, 5, ProjectorPartition.fine(1))
+        with pytest.raises(ValueError, match="n_traj must be an integer"):
+            run_ensemble(PARAMS, sched, 0, 1, 2.5, 0, engine)
+        assert run_ensemble(PARAMS, sched, 0, 1, np.int64(2), 0, engine).outcomes.shape == (2, 5)
 
     def test_gillespie_rejects_mixed_initial_state(self):
         sched = MeasurementSchedule(0.05, 5, ProjectorPartition.fine(1))
