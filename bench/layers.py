@@ -13,16 +13,16 @@ range of its runs (0 for one run), the spread a ``speedup`` must clear to
 mean anything.  ``peak_mb`` is the ``tracemalloc`` peak of one more run
 (numpy reports its buffers to ``tracemalloc``), in 1e6 bytes.
 Layers run at ``gamma = 1`` from level 0, at the settings in their entry
-(``null`` where one does not apply).  ``uniforms``, ``fine_outcomes`` and
-``coarse_outcomes`` run the blocks of ``streams._blocks``, the cut that
-``run_ensemble`` runs, one block discarded before the next: ``uniforms``
-draws each block's chunks, and the two engine layers run
-``protocol._luders_block``, ``run_ensemble``'s engine choice, on chunks
-drawn before the clock starts, ``coarse_outcomes`` on the partition
-{0..first_bin-1} | {first_bin..trunc} (``first_bin`` is null in every
-other layer); ``luders_engine`` and ``jump_engine`` are
-``run_ensemble`` with each engine, the Lüders one on a row too long to
-hold its uniforms at once; ``record`` is ``protocol._runs``, the check that
+(``null`` where one does not apply).  ``uniforms`` and ``fine_outcomes``
+run the blocks of ``streams._blocks``, the cut that ``run_ensemble`` runs,
+one block discarded before the next: ``uniforms`` draws each block's
+chunks, and ``fine_outcomes`` runs ``protocol._luders_block``, the
+measurement loop on levels, on chunks drawn before the clock starts;
+``luders_engine`` and ``jump_engine`` are ``run_ensemble`` with each
+engine, the Lüders one on rows too long to hold their uniforms at once and
+on the coarse partitions {0..first_bin-1} | {first_bin..trunc}, whose
+records are the fine ones read through ``level_bin`` (``first_bin`` is null
+on a fine partition); ``record`` is ``protocol._runs``, the check that
 every ensemble's runs pass through, which keeps an engine's runs as they
 are, on the runs that ``estimate_survival`` and ``dwell_statistics`` read;
 ``transition_matrix`` is one build over ``gdt``; ``ks_distance`` is AC5's test on level-0 interior dwells, and ``ks_import``
@@ -73,12 +73,13 @@ ENGINE_SHAPES = (
 # (truncation, rows, steps) of survival at 25 000 trajectories
 SURVIVAL_SHAPE = (40, 25_000, 100)
 # (truncation, rows, steps, n_thermal, gdt, first_bin): the benchmark's coarse
-# ensemble, then 4096 rows on {0} | {1..40}, whose states merge at every
-# readout, at the defaults and with frequent leaves, and on {0, 1} | {2..40},
-# where no bin has one level and nearly every row holds a state of its own
+# ensemble, then 4096 rows on {0} | {1..40} at the defaults and with frequent
+# leaves (0.42 level changes a readout, 0.11 of them between bins), on
+# {0, 1} | {2..40}, a partition with no bin of one level, and one coarse row
+# of 1e5 readouts at the defaults, walked from leave to leave
 COARSE_SHAPES = (
     (40, 200, 100, N_THERMAL, DT, 1), (40, 4_096, 100, N_THERMAL, DT, 1),
-    (40, 4_096, 100, 2.0, 0.1, 1), (40, 4_096, 100, 2.0, 0.1, 2),
+    (40, 4_096, 100, 2.0, 0.1, 1), (40, 4_096, 100, 2.0, 0.1, 2), (40, 1, 100_000, N_THERMAL, DT, 1),
 )
 # (truncation, rows, steps, n_thermal, gdt): AC4 and dwell --engine gillespie,
 # AC5, then survival --engine gillespie --n-thermal 2 --trunc 40 --gdt 0.1
@@ -153,24 +154,24 @@ def _uniforms(n: int, steps: int):
     return draw
 
 
-def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float, first_bin: int | None = None):
+def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float):
     tmat = dynamics.transition_matrix(build_generator(bath_from_gamma(1.0, n_thermal), trunc), gdt)
     pop, partition = pure_level(0, trunc), ProjectorPartition.fine(trunc)
-    if first_bin is not None:
-        partition = ProjectorPartition(trunc, (tuple(range(first_bin)), tuple(range(first_bin, trunc + 1))))
     # each block's chunks, copied (a row's draw reuses one buffer)
     blocks = [(rows, [chunk.copy() for chunk in chunks]) for _, rows, chunks in streams._blocks(0, 0, n, steps)]
 
     def run():
         for rows, chunks in blocks:
-            protocol._luders_block(tmat, pop, partition, rows, chunks)
+            protocol._luders_block(tmat, pop, partition, rows, steps, chunks)
     return run
 
 
 def _ensemble(trunc: int, n: int, steps: int, n_thermal: float = N_THERMAL, gdt: float = DT,
-              engine: str = "luders", seed: int = 0):
-    params = bath_from_gamma(1.0, n_thermal)
-    schedule = protocol.MeasurementSchedule(gdt, steps, ProjectorPartition.fine(trunc))
+              first_bin: int | None = None, engine: str = "luders", seed: int = 0):
+    params, partition = bath_from_gamma(1.0, n_thermal), ProjectorPartition.fine(trunc)
+    if first_bin is not None:
+        partition = ProjectorPartition(trunc, (tuple(range(first_bin)), tuple(range(first_bin, trunc + 1))))
+    schedule = protocol.MeasurementSchedule(gdt, steps, partition)
     return lambda: protocol.run_ensemble(params, schedule, 0, trunc, n, seed, engine=engine)
 
 
@@ -196,8 +197,7 @@ def _layers(repeats: int) -> list[dict]:
     record = _ensemble(*DWELL_SHAPE, engine="gillespie")()
     cases = [("uniforms", (None, n, s, None, None), _uniforms(n, s)) for n, s in UNIFORM_SHAPES]
     cases += [("fine_outcomes", shape, _engine(*shape)) for shape in ENGINE_SHAPES]
-    cases += [("coarse_outcomes", shape, _engine(*shape)) for shape in COARSE_SHAPES]
-    cases += [("luders_engine", shape, _ensemble(*shape)) for shape in LUDERS_SHAPES]
+    cases += [("luders_engine", shape, _ensemble(*shape)) for shape in LUDERS_SHAPES + COARSE_SHAPES]
     cases += [("jump_engine", shape, _ensemble(*shape, engine="gillespie")) for shape in JUMP_SHAPES]
     cases += [
         ("record", shape + DEFAULTS, partial(protocol._runs, e.starts, e.bins, e.n_traj, e.schedule.steps))

@@ -4,9 +4,13 @@ level set, outcome probabilities, and the Lüders state update.
 A measurement is a partition of the levels 0..N into bins; each bin is one
 projector of a decomposition of unity.  Acting on diagonal states with these
 block projectors keeps the state diagonal, so the update reduces to masking
-and renormalizing rows of weights: :func:`bin_masses` and :func:`collapse` act
-on a stack of rows (the coarse engine's state), and :func:`outcome_probabilities`
-and :func:`luders_collapse` are their one-row case.
+and renormalizing the level weights (:func:`bin_masses` and :func:`collapse`,
+behind :func:`outcome_probabilities` and :func:`luders_collapse`).  On a
+diagonal state the Lüders collapse onto a bin is Bayes' rule on the level,
+so a coarse record has the law of the fine record read through
+``ProjectorPartition.level_bin``: the trajectory engines of
+:mod:`qndsim.protocol` sample levels under every partition, and the update
+here is the forward filter of that law.
 """
 
 from __future__ import annotations
@@ -91,42 +95,36 @@ def _check_bin(partition: ProjectorPartition, j: int) -> None:
 
 
 def bin_masses(weights: np.ndarray, partition: ProjectorPartition) -> np.ndarray:
-    """``(rows, n_bins)`` bin masses of ``(rows, L)`` weights, by one stacked
-    product per row with the 0/1 level-to-bin indicator (so a row's bits do
-    not depend on its batch as they would in a 2-D gemm)."""
-    return (weights[:, None] @ partition.indicator)[:, 0]
+    """Bin masses of the level ``weights``, by their product with the 0/1
+    level-to-bin indicator."""
+    return weights @ partition.indicator
 
 
-def collapse(
-    weights: np.ndarray, partition: ProjectorPartition, outcome: np.ndarray, masses: np.ndarray
-) -> np.ndarray:
-    """Lüders update of ``(rows, L)`` weights with bin masses ``masses`` on
-    observing bin ``outcome[r]``, of non-zero mass: a row with no other bin of
-    non-zero mass comes back unchanged, bit for bit (repeating the measurement
-    cannot disturb it); every other row is zeroed outside its bin and divided
-    by the bin's mass."""
-    settled = np.count_nonzero(masses, axis=1) == 1
-    mass = masses[np.arange(len(masses)), outcome]
-    return weights * (partition.level_bin == outcome[:, None]) / np.where(settled, 1.0, mass)[:, None]
+def collapse(weights: np.ndarray, partition: ProjectorPartition, j: int, masses: np.ndarray) -> np.ndarray:
+    """Lüders update of the level ``weights``, of bin masses ``masses``, on
+    observing bin ``j``, of non-zero mass: weights with no other bin of
+    non-zero mass come back unchanged, bit for bit (repeating the measurement
+    cannot disturb them); any others are zeroed outside the bin and divided
+    by its mass."""
+    settled = np.count_nonzero(masses) == 1
+    return weights * (partition.level_bin == j) / (1.0 if settled else masses[j])
 
 
 def outcome_probabilities(pop: PopulationVector, partition: ProjectorPartition) -> np.ndarray:
-    """Probability of each bin: the summed weight it covers
-    (:func:`bin_masses` of one row)."""
+    """Probability of each bin: the summed weight it covers (:func:`bin_masses`)."""
     _check_truncation(pop, partition)
-    return bin_masses(pop.weights[None], partition)[0]
+    return bin_masses(pop.weights, partition)
 
 
 def luders_collapse(pop: PopulationVector, partition: ProjectorPartition, j: int) -> PopulationVector:
-    """State after observing bin ``j``, by :func:`collapse` of one row; a state
-    already supported inside the bin is returned itself, and an outcome of
-    zero probability raises :class:`ZeroProbabilityError`."""
+    """State after observing bin ``j``, by :func:`collapse`; a state already
+    supported inside the bin is returned itself, and an outcome of zero
+    probability raises :class:`ZeroProbabilityError`."""
     _check_truncation(pop, partition)
     _check_bin(partition, j)
-    w = pop.weights[None]
-    masses = bin_masses(w, partition)
-    if masses[0, j] <= 0.0:
+    masses = bin_masses(pop.weights, partition)
+    if masses[j] <= 0.0:
         raise ZeroProbabilityError(f"outcome {j} has zero probability")
-    out = collapse(w, partition, np.array([j]), masses)[0]
-    # collapse changes every row with weight outside the bin, and no other
+    out = collapse(pop.weights, partition, j, masses)
+    # collapse changes any weights with mass outside the bin, and no others
     return pop if np.array_equal(out, pop.weights) else PopulationVector(out)

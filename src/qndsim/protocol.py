@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from . import streams
 from .core import BathParams, PopulationVector, build_generator, check_count, pure_level
 from .dynamics import transition_matrix
-from .measurement import ProjectorPartition, ZeroProbabilityError, bin_masses, collapse
+from .measurement import ProjectorPartition, ZeroProbabilityError
 
 # Trajectory engines of run_ensemble: the measurement loop and the jump process.
 ENGINES = ("luders", "gillespie")
@@ -66,8 +66,10 @@ class Ensemble:
     """Readouts of trajectories ``first_index + r``, ``r < n_traj``, at dt, ...,
     steps*dt, as maximal runs (:func:`_runs`): bin ``bins[i]`` for ``lengths[i]``
     readouts from flat readout ``starts[i] = r * steps + step`` of row r.  Both
-    are read-only: runs that are read-only and no view (as :func:`run_ensemble`
-    hands them over) are kept as they are, any others copied."""
+    are read-only, and copies of the arrays a caller gives (:func:`run_ensemble`
+    hands its own runs over uncopied, by :meth:`_of_runs`).  Under any
+    partition the bins are the engines' fine records read through
+    ``partition.level_bin``."""
 
     schedule: MeasurementSchedule
     initial_level: int | None
@@ -79,12 +81,25 @@ class Ensemble:
     engine: str
 
     def __post_init__(self):
+        self._keep_runs(copy=True)
+
+    @classmethod
+    def _of_runs(cls, *values) -> "Ensemble":
+        """The Ensemble of the field ``values``, keeping its runs uncopied:
+        runs that :func:`run_ensemble` made, which no caller holds."""
+        ensemble = cls.__new__(cls)
+        for field, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(ensemble, field.name, value)
+        ensemble._keep_runs(copy=False)
+        return ensemble
+
+    def _keep_runs(self, copy: bool) -> None:
         n_bins = self.schedule.partition.n_bins
         runs = _runs(self.starts, self.bins, self.n_traj, self.schedule.steps)
         if runs[1].min() < 0 or runs[1].max() >= n_bins:
             raise ValueError("outcome outside the partition's bin range")
         for name, arr, dtype in zip(("starts", "bins"), runs, (np.intp, _outcome_dtype(n_bins))):
-            arr = arr.astype(dtype, copy=arr.flags.writeable or isinstance(arr.base, np.ndarray))
+            arr = arr.astype(dtype, copy=copy)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -188,8 +203,9 @@ def _level_bounds(tmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray):
-    """Maximal runs (:class:`Ensemble`) of the measurement loop under a fine
-    partition, one row per row of ``uniforms``.
+    """Maximal runs (:class:`Ensemble`) of the levels the measurement loop
+    reads out (its record under the fine partition), one row per row of
+    ``uniforms``.
 
     A fine collapse leaves a pure level k, and the next outcome is the
     right-sided bisection of the step's uniform into column k's cumulative
@@ -245,8 +261,8 @@ def _fine_outcomes(tmat: np.ndarray, pop: PopulationVector, uniforms: np.ndarray
 
 
 def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs (:class:`Ensemble`) of one row of the measurement loop
-    under a fine partition, its uniforms given as consecutive ``chunks``.
+    """Maximal runs (:class:`Ensemble`) of the levels of one row of the
+    measurement loop, its uniforms given as consecutive ``chunks``.
 
     The row is walked from leave to leave.  The readouts where level k
     leaves (its uniform outside k's interval, :func:`_level_bounds`) come
@@ -299,82 +315,22 @@ def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarr
     return np.asarray(run_starts), np.asarray(run_levels)  # views of the buffers
 
 
-def _coarse_outcomes(tmat: np.ndarray, pop: PopulationVector, partition: ProjectorPartition, chunks):
-    """Runs (:class:`Ensemble`) of the measurement loop under any partition,
-    for a block given as consecutive column ``chunks``: all its rows' uniforms
-    as one ``(n_rows, steps)`` chunk, or one row's in ``(1, width)`` pieces.
-
-    The state a readout leaves is the forward filter of the level given the
-    outcomes so far, and a collapse onto a bin of one level resets it to
-    that level, so a block holds few distinct states.  The engine carries a
-    table of weight rows and one state id per row, from chunk to chunk.
-    Each step relaxes the table by a stacked product with ``tmat.T`` (one
-    identical BLAS call per state, so a state's bits do not depend on its
-    batch as they would in a 2-D gemm) and takes its
-    :func:`~qndsim.measurement.bin_masses`; each row samples a bin by
-    right-sided bisection of the step's uniform into its state's cumulative
-    masses.  The Lüders update :func:`~qndsim.measurement.collapse` runs once
-    per distinct (state id, bin) pair, found by a dense lookup over ``id *
-    n_bins + bin``: a state already inside its bin stays as it is, every
-    other one is zeroed outside the bin and divided by the bin's mass.  The
-    collapsed pairs are the next table.  Those onto a bin ``{j}`` of one level
-    that leave exactly ``e_j`` (every unsettled one does) merge: their rows
-    share one id, and the other copies go unread and drop out at the next
-    step.  No other states merge, so the table never holds more states than
-    the block holds rows.  The runs start where a row's bin changes, read off
-    a one-byte mask over each dense chunk, and at each chunk's first column
-    (:func:`_runs` joins a run to a same-bin one before it).
-    """
-    n_bins = partition.n_bins
-    one_level = np.array([len(b) == 1 for b in partition.bins])
-    first_level = np.array([b[0] for b in partition.bins])
-    states, ids = pop.weights[None], np.zeros(1, dtype=np.intp)
-    offset, run_starts, run_bins = 0, [], []
-    for uniforms in chunks:
-        n_rows, width = uniforms.shape
-        ids = np.broadcast_to(ids, n_rows)
-        outcomes = np.empty((n_rows, width), dtype=_outcome_dtype(n_bins))
-        for step in range(width):
-            relaxed = (states[:, None] @ tmat.T)[:, 0]
-            masses = bin_masses(relaxed, partition)
-            cum = np.cumsum(masses, axis=1).take(ids, axis=0)
-            outcome = _bisect(cum, uniforms[:, step], masses[:, -1].take(ids))
-            outcomes[:, step] = outcome
-            key = ids * n_bins + outcome
-            lookup = np.zeros(len(states) * n_bins, dtype=np.intp)
-            lookup[key] = 1
-            pairs = np.flatnonzero(lookup)
-            source, observed = np.divmod(pairs, n_bins)
-            states = collapse(relaxed.take(source, axis=0), partition, observed, masses[source])
-            # the pairs that leave e_j exactly, onto a bin {j} of one level, share
-            # one of their rows (any one: they are equal byte for byte); a settled
-            # one keeps its own mass (as on an absorbing level) and stays apart
-            index = np.arange(pairs.size)
-            unit = one_level[observed] & (states[index, first_level[observed]] == 1.0)
-            shared = np.zeros(n_bins, dtype=np.intp)
-            shared[observed[unit]] = index[unit]
-            lookup[pairs] = np.where(unit, shared[observed], index)
-            ids = lookup[key]
-        change = np.ones_like(outcomes, dtype=bool)
-        np.not_equal(outcomes[:, 1:], outcomes[:, :-1], out=change[:, 1:])
-        starts = np.flatnonzero(change)
-        run_starts.append(starts + offset)
-        run_bins.append(outcomes.ravel()[starts])
-        offset += width
-    return np.concatenate(run_starts), np.concatenate(run_bins)
-
-
-def _luders_block(tmat: np.ndarray, pop: PopulationVector, partition: ProjectorPartition, rows: int, chunks):
-    """Runs of one block of ``rows`` rows of the measurement loop, its uniforms
-    as the ``chunks`` of :func:`streams._blocks`: under a fine partition a
-    block of many rows is scanned in windows (:func:`_fine_outcomes`) and one
-    row walked from leave to leave (:func:`_fine_row`); any other partition
-    steps its table of states (:func:`_coarse_outcomes`)."""
-    if not partition.is_fine:
-        return _coarse_outcomes(tmat, pop, partition, chunks if rows > 1 else (c[None] for c in chunks))
-    if rows == 1:
-        return _fine_row(tmat, pop, chunks)
-    return _fine_outcomes(tmat, pop, *chunks)  # one (rows, steps) chunk
+def _luders_block(tmat: np.ndarray, pop: PopulationVector, partition: ProjectorPartition, rows: int, steps: int,
+                  chunks):
+    """Runs of one block of ``rows`` rows of ``steps`` readouts of the
+    measurement loop, its uniforms as the ``chunks`` of :func:`streams._blocks`.
+    The loop runs on levels under every partition: a block of many rows is
+    scanned in windows (:func:`_fine_outcomes`) and one row walked from leave
+    to leave (:func:`_fine_row`).  Readouts keep the state diagonal, where the
+    Lüders collapse onto a bin is Bayes' rule on the level, so a coarse
+    record has the law of the fine one read through ``partition.level_bin``:
+    a coarse block maps its run levels to their bins, and :func:`_runs`
+    joins the runs that fall in one bin."""
+    starts, levels = _fine_row(tmat, pop, chunks) if rows == 1 else _fine_outcomes(tmat, pop, *chunks)
+    if partition.is_fine:
+        return starts, levels
+    bins = partition.level_bin.astype(_outcome_dtype(partition.n_bins))[levels]
+    return _runs(starts, bins, rows, steps)
 
 
 def _jump_block(ups, downs, partition: ProjectorPartition, schedule: MeasurementSchedule, level: int, rngs):
@@ -427,7 +383,9 @@ def run_ensemble(
     Lüders engine draws each block's uniforms (:func:`_luders_block`), the
     jump engine its block's paths (:func:`_jump_block`), and each block is
     read out and joined into runs before the next is drawn.  Both engines
-    take any partition.
+    take any partition, and both read a coarse record as the fine one, the
+    levels, through ``partition.level_bin``.  The runs are handed over to
+    the :class:`Ensemble` uncopied.
     """
     check_count("n_traj", n_traj)
     if engine not in ENGINES:
@@ -453,11 +411,9 @@ def run_ensemble(
             starts, bins = _jump_block(ups, downs, partition, schedule, level,
                                        streams._streams(master_seed, first_index + start, rows))
         else:
-            starts, bins = _luders_block(tmat, pop, partition, rows, chunks)
+            starts, bins = _luders_block(tmat, pop, partition, rows, steps, chunks)
         starts += start * steps
         runs.append((starts, bins))
     starts, bins = map(np.concatenate, zip(*runs)) if len(runs) > 1 else runs[0]
     runs.clear()  # the blocks' runs, once joined, before Ensemble checks them
-    for arr in (starts, bins):
-        arr.setflags(write=False)  # handed over, not copied (Ensemble)
-    return Ensemble(schedule, level, starts, bins, n_traj, master_seed, first_index, engine)
+    return Ensemble._of_runs(schedule, level, starts, bins, n_traj, master_seed, first_index, engine)

@@ -38,6 +38,26 @@ def reference_loop(params, schedule, initial, truncation, seed_pair):
     return np.array(outcomes)
 
 
+def coarse_sequence_law(tmat, initial, partition: ProjectorPartition, steps):
+    """The chance of every sequence of ``steps`` bins that the measurement
+    loop can read out from ``initial`` with kernel ``tmat``, keyed by the
+    sequence as a tuple.  The forward filter (Rabiner 1989), run exactly: a
+    sequence's state is relaxed, each next bin has the chance
+    ``outcome_probabilities`` gives it, the state collapses onto it by
+    ``luders_collapse``, and a sequence's chance is the product of those
+    normalizers."""
+    law = {(): (1.0, initial)}
+    for _ in range(steps):
+        longer = {}
+        for sequence, (chance, state) in law.items():
+            relaxed = PopulationVector(tmat @ state.weights)
+            for j, q in enumerate(outcome_probabilities(relaxed, partition)):
+                if q > 0.0:
+                    longer[sequence + (j,)] = (chance * q, luders_collapse(relaxed, partition, j))
+        law = longer
+    return {sequence: chance for sequence, (chance, _) in law.items()}
+
+
 def reference_uniforms(master_seed, first_index, n, steps):
     """The first ``steps`` uniforms of trajectories ``first_index ..
     first_index + n - 1``, one stream at a time."""

@@ -162,35 +162,33 @@ class TestLudersCollapse:
 
 
 class TestStackedUpdate:
+    """``bin_masses`` and ``collapse``, the update behind
+    ``outcome_probabilities`` and ``luders_collapse``, one row of weights at
+    a time."""
+
     @given(populations_and_partitions(), st.integers(0, 10))
     @settings(max_examples=100, derandomize=True)
     def test_each_row_is_the_one_row_update(self, case, j_raw):
-        # the engine's stacked update gives each row, bit for bit, what
-        # outcome_probabilities and luders_collapse give that row alone;
-        # the last row is already supported inside its bin
+        # each row, observing its bin, gives bit for bit what
+        # outcome_probabilities and luders_collapse give it; the last row is
+        # already supported inside its bin and comes back unchanged
         state, part = case
         j = j_raw % part.n_bins
         inside = luders_collapse(state, part, j)
-        pops = [state, state, inside]
-        outcome = np.array([j, (j + 1) % part.n_bins, j])
-        weights = np.stack([p.weights for p in pops])
-        masses = bin_masses(weights, part)
-        collapsed = collapse(weights, part, outcome, masses)
-        for row, (p, k) in enumerate(zip(pops, outcome)):
-            assert_same_bits(masses[row], outcome_probabilities(p, part))
-            assert_same_bits(collapsed[row], luders_collapse(p, part, int(k)).weights)
-        assert_same_bits(collapsed[2], inside.weights)
+        for p, k in ((state, j), (state, (j + 1) % part.n_bins), (inside, j)):
+            masses = bin_masses(p.weights, part)
+            assert_same_bits(masses, outcome_probabilities(p, part))
+            assert_same_bits(collapse(p.weights, part, k, masses), luders_collapse(p, part, k).weights)
 
     def test_collapse_matches_the_weight_test_it_replaced(self):
-        # collapse finds a settled row by its one bin of non-zero mass; the
-        # update it replaced compared the kept weights with the weights.  Rows
-        # of random weights with zeros, and pure levels relaxed at zero
+        # collapse finds settled weights by their one bin of non-zero mass;
+        # the update it replaced compared the kept weights with the weights.
+        # Rows of random weights with zeros, and pure levels relaxed at zero
         # temperature (supported on the levels below them), over random
         # partitions, each observing a bin of non-zero mass.
         def weight_test(weights, partition, outcome, mass):
-            kept = weights * (partition.level_bin == outcome[:, None])
-            settled = (kept == weights).all(axis=1)
-            return kept / np.where(settled, 1.0, mass)[:, None]
+            kept = weights * (partition.level_bin == outcome)
+            return kept / (1.0 if (kept == weights).all() else mass)
 
         rng = np.random.default_rng(2024)
         settled = 0
@@ -200,13 +198,12 @@ class TestStackedUpdate:
             part = ProjectorPartition(trunc, tuple(tuple(b) for b in np.split(rng.permutation(trunc + 1), cuts)))
             tmat = transition_matrix(build_generator(BathParams(0.0, 1.1), trunc), float(rng.choice([0.01, 1.0])))
             weights = np.vstack([rng.random((6, trunc + 1)) * (rng.random((6, trunc + 1)) < 0.5), tmat.T])
-            weights = weights[weights.any(axis=1)]
-            masses = bin_masses(weights, part)
-            outcome = np.array([rng.choice(np.flatnonzero(m)) for m in masses])
-            mass = masses[np.arange(len(weights)), outcome]
-            old = weight_test(weights, part, outcome, mass)
-            assert_same_bits(collapse(weights, part, outcome, masses), old)
-            settled += np.count_nonzero((old == weights).all(axis=1))
+            for row in weights[weights.any(axis=1)]:
+                masses = bin_masses(row, part)
+                outcome = int(rng.choice(np.flatnonzero(masses)))
+                old = weight_test(row, part, outcome, masses[outcome])
+                assert_same_bits(collapse(row, part, outcome, masses), old)
+                settled += np.array_equal(old, row)
         assert settled > 300
 
 

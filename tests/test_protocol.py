@@ -20,10 +20,10 @@ from qndsim.dynamics import (
     two_level_population,
     zeno_times,
 )
-from qndsim.measurement import ProjectorPartition, ZeroProbabilityError, bin_masses, collapse
+from qndsim.measurement import ProjectorPartition, ZeroProbabilityError
 from qndsim.protocol import MeasurementSchedule, run_ensemble
 
-from oracles import reference_jump_record, reference_loop, reference_uniforms, trajectory_rng
+from oracles import coarse_sequence_law, reference_jump_record, reference_loop, reference_uniforms, trajectory_rng
 
 PARAMS = bath_from_gamma(1.0, 0.1)
 
@@ -169,7 +169,7 @@ class TestSchedule:
         assert MeasurementSchedule(0.1, np.int64(3), ProjectorPartition.fine(1)).horizon == pytest.approx(0.3)
 
 
-# blocks of two rows, scanned, and of one row, walked (fine) or chunked (coarse)
+# blocks of two rows, scanned, and of one row, walked
 TOP_UNIFORM_CASES = [
     (partition, n_traj) for n_traj in (2, 1) for partition in (ProjectorPartition.fine(3), coarse_partition(3))
 ]
@@ -246,70 +246,61 @@ class TestLudersEngine:
                 (200, 100, 4096),
                 "8c8e7dfff8c3fcdee4844019ecee56bb3d2ead0b840a625e1b7a83970db0a969",
             ),
+            # the rest are pinned to the fine record at the same seed and shape
             (
                 bath_from_gamma(1.0, 2.0),
                 ProjectorPartition(40, ((0,), (1, 2, 3), tuple(range(4, 41)))),
                 0.3,
                 thermal_populations(bath_from_gamma(1.0, 2.0), 40),
                 (200, 100, 4096),
-                "e91c0e3c45c36c49ef775efad357f26e7b7f680173c69d3967d87ee4e19b2961",
+                None,
             ),
-            # no bin of one level: no two rows' states merge, and nearly every
-            # row holds a state of its own
+            # no bin of one level
             (
                 bath_from_gamma(1.0, 2.0),
                 ProjectorPartition(40, ((0, 1), tuple(range(2, 41)))),
                 0.1,
                 0,
                 (4096, 100, 4096),
-                "c3160bf637e00b4c9ecf461a5a31f64b37838093801cb3b9e426f2133281b47b",
+                None,
             ),
-            # states merge on {0} at every readout
+            # rows leave {0} often
             (
                 bath_from_gamma(1.0, 2.0),
                 coarse_partition(40),
                 0.1,
                 0,
                 (4096, 100, 4096),
-                "0746f65e43ff784139657ec81757bfe49f3851e14cc336c06ba0d769408c277b",
+                None,
             ),
-            # one row in chunks of 2 * VECTOR_STEPS uniforms, its states carried across them
+            # one row in chunks of 2 * VECTOR_STEPS uniforms, its level carried across them
             (
                 bath_from_gamma(1.0, 2.0),
                 ProjectorPartition(40, ((0,), (1, 2, 3), tuple(range(4, 41)))),
                 0.3,
                 thermal_populations(bath_from_gamma(1.0, 2.0), 40),
                 (1, 2000, 2),
-                "4d45d2a502f4c5ea5d6c03caa7b4e2b79c5069da6879112eb4cfeeb14df55238",
+                None,
             ),
         ],
         ids=["empty-or-not", "three-bins", "pair-or-above-often", "empty-or-not-often", "three-bins-row"],
     )
     def test_coarse_outcomes_are_pinned(self, monkeypatch, params, partition, dt, initial, shape, digest):
-        # outcomes at seed 0 of the per-level column loop this engine replaced
-        # (200 x 100), and of the per-row stack after it (4096 x 100 and the row)
+        # outcomes at seed 0: empty-or-not by its digest, the rest bit for bit
+        # as the fine record at the same seed, shape and BLOCK_ROWS read
+        # through level_bin (the fine records' digests are pinned below)
         n_traj, steps, block_rows = shape
         monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
         assert n_traj > 1 or steps > streams.BLOCK_ROWS * streams.VECTOR_STEPS
         sched = MeasurementSchedule(dt, steps, partition)
         outcomes = run_ensemble(params, sched, initial, 40, n_traj, 0).outcomes
         assert outcomes.dtype == np.int16 and outcomes.shape == (n_traj, steps)
-        assert hashlib.sha256(outcomes.tobytes()).hexdigest() == digest
-
-    def test_coarse_states_are_collapsed_once_per_distinct_pair(self, monkeypatch):
-        # at the defaults few rows ever leave {0}, and a collapse onto {0}
-        # resets a row to e_0: 4096 rows hold at most 93 distinct states.
-        # Stepping row by row (4096) or never merging the e_0 rows (264) fails.
-        sizes = []
-
-        def recorder(weights, *args):
-            sizes.append(len(weights))
-            return collapse(weights, *args)
-
-        monkeypatch.setattr(protocol, "collapse", recorder)
-        sched = MeasurementSchedule(0.01, 100, coarse_partition(40))
-        run_ensemble(PARAMS, sched, 0, 40, 4096, 0)
-        assert len(sizes) == 100 and max(sizes) <= 128
+        if digest is not None:
+            assert hashlib.sha256(outcomes.tobytes()).hexdigest() == digest
+        else:
+            fine = MeasurementSchedule(dt, steps, ProjectorPartition.fine(40))
+            levels = run_ensemble(params, fine, initial, 40, n_traj, 0).outcomes
+            assert np.array_equal(outcomes, partition.level_bin[levels])
 
     @pytest.mark.parametrize(
         "trunc,n_traj,steps,n_thermal,gdt,digest",
@@ -355,23 +346,6 @@ class TestLudersEngine:
         assert np.array_equal(whole, np.concatenate(shards))
         assert len(np.unique(whole)) == 3
 
-    @pytest.mark.parametrize("n_levels", [2, 11, 41])
-    def test_stacked_products_do_not_depend_on_the_batch(self, n_levels):
-        # the coarse engine's shard independence rests on this: a stacked
-        # (rows, 1, L) product gives each row the bits it gets alone
-        rng = np.random.default_rng(n_levels)
-        tmat = transition_matrix(build_generator(PARAMS, n_levels - 1), 0.3)
-        partition = ProjectorPartition(
-            n_levels - 1, tuple(tuple(range(j, n_levels, 3)) for j in range(min(3, n_levels)))
-        )
-        weights = rng.random((300, 1, n_levels))
-        relaxed = weights @ tmat.T
-        masses = bin_masses(relaxed[:, 0], partition)
-        for r in (0, 1, 150, 299):
-            alone = weights[r:r + 1].copy() @ tmat.T
-            assert_same_bits(alone, relaxed[r:r + 1])
-            assert_same_bits(bin_masses(alone[:, 0], partition), masses[r:r + 1])
-
     @staticmethod
     def top_uniforms(monkeypatch, first):
         # every uniform after the first is just below 1, above every column's
@@ -406,6 +380,18 @@ class TestLudersEngine:
         sched = MeasurementSchedule(0.5, 3, partition)
         outcomes = run_ensemble(PARAMS, sched, 0, 3, n_traj, 0).outcomes
         assert np.all(outcomes == [0, partition.n_bins - 1, partition.n_bins - 1])
+
+    @pytest.mark.parametrize("n_traj", [2, 1], ids=["scanned", "walked"])
+    @pytest.mark.parametrize("partition", [ProjectorPartition.fine(40), coarse_partition(40)], ids=["fine", "coarse"])
+    def test_a_coarse_readout_clamps_by_the_fine_rule(self, monkeypatch, partition, n_traj):
+        # level 0 cannot reach level 40 in one readout at the defaults, so a
+        # uniform above column 0's mass clamps onto a level of zero mass and
+        # raises under every partition, also where the bin {1..40} holds mass
+        self.top_uniforms(monkeypatch, 0.5)
+        tmat = transition_matrix(build_generator(PARAMS, 40), 0.01)
+        assert tmat[40, 0] == 0.0 and tmat[1:, 0].sum() > 0.0
+        with pytest.raises(ZeroProbabilityError):
+            run_ensemble(PARAMS, MeasurementSchedule(0.01, 3, partition), 0, 40, n_traj, 0)
 
     def test_survival_fraction_near_product_prediction(self):
         sched = MeasurementSchedule(0.01, 100, ProjectorPartition.fine(1))
@@ -851,6 +837,20 @@ class TestRecord:
         base[:] = [0, 1, 0, 1]
         assert ens.starts.tolist() == [0, 2] and ens.bins.tolist() == [1, 0]
 
+    def test_a_caller_cannot_unfreeze_a_checked_record(self):
+        # read-only arrays that own their data are copied as well: the caller
+        # that froze them can unfreeze them, and would write a bin outside
+        # the partition into the checked record
+        starts, bins = np.array([0, 2]), np.array([0, 1], dtype=np.int16)
+        for arr in (starts, bins):
+            arr.setflags(write=False)
+        ens = protocol.Ensemble(self.SCHEDULE, None, starts, bins, 1, 0, 0, "x")
+        for arr in (starts, bins):
+            arr.setflags(write=True)
+        starts[1], bins[1] = 1, 5
+        assert ens.starts.tolist() == [0, 2] and ens.bins.tolist() == [0, 1]
+        assert ens.bins is not bins and not ens.bins.flags.writeable
+
     @pytest.mark.parametrize("engine, n_traj, steps", [
         ("luders", 1, 60), ("luders", 5, 12), ("gillespie", 5, 12),
     ], ids=["row-walked-in-chunks", "blocks-scanned", "jump-blocks"])
@@ -870,8 +870,10 @@ class TestRecord:
         ens = run_ensemble(bath_from_gamma(1.0, 2.0), sched, 0, 4, n_traj, 1, engine)
         assert ens.starts is checked[-1][0] and ens.bins is checked[-1][1]
         assert ens.bins.size > 2 * n_traj
+        # a caller's Ensemble of those same arrays copies them (see below)
         again = protocol.Ensemble(sched, 0, ens.starts, ens.bins, n_traj, 1, 0, engine)
-        assert again.starts is ens.starts and again.bins is ens.bins
+        assert again.starts is not ens.starts and again.bins is not ens.bins
+        assert np.array_equal(again.starts, ens.starts) and np.array_equal(again.bins, ens.bins)
 
 
 class TestSurvivalFormulas:
@@ -983,6 +985,41 @@ class TestExactBinMarginals:
         per_test = 1.0 - (1.0 - 1e-3) ** (1.0 / z.size)
         assert z.max() <= NormalDist().inv_cdf(1.0 - per_test / 2.0)
 
+    @pytest.mark.parametrize(
+        "engine,initial",
+        [("luders", "thermal"), ("luders", 1), ("gillespie", 1)],
+        ids=["luders-thermal", "luders-level-1", "gillespie-level-1"],
+    )
+    def test_bin_sequences_match_the_forward_filter(self, engine, initial):
+        # The joint law of a record's first m bins, with the Lüders collapse
+        # as the oracle (coarse_sequence_law): one chi-square goodness-of-fit
+        # test over the 3**5 sequences, at level 1e-3, the sequences expected
+        # fewer than 5 times pooled into one cell.  A sampler that drew each
+        # bin from its step's marginal alone passes the test above and fails
+        # this one.
+        from scipy.linalg import expm
+        from scipy.stats import chi2
+
+        params, trunc, dt, steps, n_traj = bath_from_gamma(1.0, 0.5), 10, 0.3, 5, 20_000
+        partition = ProjectorPartition(trunc, ((0,), (1, 2), tuple(range(3, trunc + 1))))
+        start = thermal_populations(params, trunc) if initial == "thermal" else pure_level(initial, trunc)
+        sched = MeasurementSchedule(dt, steps, partition)
+        outcomes = run_ensemble(params, sched, start, trunc, n_traj, 2024, engine=engine).outcomes
+        tmat = expm(dt * build_generator(params, trunc).rate_matrix())
+        law = coarse_sequence_law(tmat, start, partition, steps)
+        shape = (partition.n_bins,) * steps
+        seen = np.bincount(np.ravel_multi_index(outcomes.T, shape), minlength=partition.n_bins**steps)
+        expected = np.zeros(seen.size)
+        for sequence, chance in law.items():
+            expected[np.ravel_multi_index(sequence, shape)] = n_traj * chance
+        assert seen[expected == 0.0].sum() == 0
+        rare = expected < 5.0
+        observed = np.append(seen[~rare], seen[rare].sum())
+        want = np.append(expected[~rare], expected[rare].sum())
+        assert rare.any() and want.size > 50
+        statistic = ((observed - want) ** 2 / want).sum()
+        assert chi2.sf(statistic, want.size - 1) > 1e-3
+
 
 class TestEnsemble:
     def test_singleton_matches_single_trajectory(self):
@@ -1016,12 +1053,14 @@ class TestEnsemble:
         ids=["fine", "block", "coarse", "fine-high-jump", "fine-long"],
     )
     def test_engine_matches_reference_loop(self, params, partition, initial, n_traj, steps):
+        # under any partition the record is the fine loop's read through level_bin
         trunc = partition.truncation
         sched = MeasurementSchedule(0.3, steps, partition)
         ens = run_ensemble(params, sched, initial, trunc, n_traj, 42)
         start = pure_level(initial, trunc) if isinstance(initial, int) else initial
+        fine = MeasurementSchedule(0.3, steps, ProjectorPartition.fine(trunc))
         for i, row in enumerate(ens.outcomes):
-            assert np.array_equal(row, reference_loop(params, sched, start, trunc, (42, i)))
+            assert np.array_equal(row, partition.level_bin[reference_loop(params, fine, start, trunc, (42, i))])
 
     @pytest.mark.parametrize(
         "partition,engine,steps",
@@ -1123,9 +1162,9 @@ class TestEnsemble:
 
     def test_coarse_block_packs_its_runs_in_the_memory_of_its_uniforms(self):
         # one full coarse block, 4096 rows of 192 steps: its uniforms (6.3 MB)
-        # and at most as much again.  The dense outcomes (one byte a readout)
-        # and the change mask fit; intp temporaries the size of the block, at
-        # 8 bytes a readout each, do not.
+        # and at most as much again.  The fine scan's window masks and its
+        # runs' levels, read through level_bin and joined, fit; intp
+        # temporaries the size of the block, at 8 bytes a readout each, do not.
         sched = MeasurementSchedule(0.01, streams.VECTOR_STEPS, ProjectorPartition(2, ((0,), (1, 2))))
         rows = streams.BLOCK_ROWS
         tracemalloc.start()
