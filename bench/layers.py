@@ -16,8 +16,9 @@ Layers run at ``gamma = 1`` from level 0, at the settings in their entry
 (``null`` where one does not apply).  ``uniforms`` and ``fine_outcomes``
 run the blocks of ``streams._blocks``, the cut that ``run_ensemble`` runs,
 one block discarded before the next: ``uniforms`` draws each block's
-chunks, and ``fine_outcomes`` runs ``protocol._luders_block``, the
-measurement loop on levels, on chunks drawn before the clock starts;
+chunks, and ``fine_outcomes`` runs the measurement loop on levels, on
+chunks drawn before the clock starts: ``protocol._fine_outcomes`` on a
+block of many rows, ``protocol._fine_row`` on a block of one;
 ``luders_engine`` and ``jump_engine`` are ``run_ensemble`` with each
 engine, the Lüders one on rows too long to hold their uniforms at once and
 on the coarse partitions {0..first_bin-1} | {first_bin..trunc}, whose
@@ -156,13 +157,16 @@ def _uniforms(n: int, steps: int):
 
 def _engine(trunc: int, n: int, steps: int, n_thermal: float, gdt: float):
     tmat = dynamics.transition_matrix(build_generator(bath_from_gamma(1.0, n_thermal), trunc), gdt)
-    pop, partition = pure_level(0, trunc), ProjectorPartition.fine(trunc)
+    pop = pure_level(0, trunc)
     # each block's chunks, copied (a row's draw reuses one buffer)
     blocks = [(rows, [chunk.copy() for chunk in chunks]) for _, rows, chunks in streams._blocks(0, 0, n, steps)]
 
     def run():
         for rows, chunks in blocks:
-            protocol._luders_block(tmat, pop, partition, rows, steps, chunks)
+            if rows == 1:
+                protocol._fine_row(tmat, pop, chunks)
+            else:
+                protocol._fine_outcomes(tmat, pop, *chunks)
     return run
 
 

@@ -97,6 +97,8 @@ class PopulationVector:
         w = _readonly(self.weights)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("weights must be a 1-D array over at least two levels")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if w.min() < 0.0:
             raise ValueError(f"negative weight: min = {w.min()!r}")
         total = float(w.sum())
@@ -163,6 +165,8 @@ class BirthDeathGenerator:
         up, down = _readonly(self.up), _readonly(self.down)
         if up.ndim != 1 or up.shape != down.shape or up.size < 1:
             raise ValueError("up and down must be equal-length 1-D arrays")
+        if not (np.isfinite(up).all() and np.isfinite(down).all()):
+            raise ValueError("rates must be finite")
         if up.min() < 0.0 or down.min() < 0.0:
             raise ValueError("rates must be non-negative")
         object.__setattr__(self, "up", up)

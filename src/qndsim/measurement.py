@@ -4,13 +4,12 @@ level set, outcome probabilities, and the Lüders state update.
 A measurement is a partition of the levels 0..N into bins; each bin is one
 projector of a decomposition of unity.  Acting on diagonal states with these
 block projectors keeps the state diagonal, so the update reduces to masking
-and renormalizing the level weights (:func:`bin_masses` and :func:`collapse`,
-behind :func:`outcome_probabilities` and :func:`luders_collapse`).  On a
-diagonal state the Lüders collapse onto a bin is Bayes' rule on the level,
-so a coarse record has the law of the fine record read through
-``ProjectorPartition.level_bin``: the trajectory engines of
-:mod:`qndsim.protocol` sample levels under every partition, and the update
-here is the forward filter of that law.
+and renormalizing the level weights (:func:`outcome_probabilities` and
+:func:`luders_collapse`).  On a diagonal state the Lüders collapse onto a
+bin is Bayes' rule on the level, so a coarse record has the law of the fine
+record read through ``ProjectorPartition.level_bin``: the trajectory
+engines of :mod:`qndsim.protocol` sample levels under every partition, and
+the update here is the forward filter of that law.
 """
 
 from __future__ import annotations
@@ -70,17 +69,10 @@ class ProjectorPartition:
     @cached_property
     def indicator(self) -> np.ndarray:
         """Read-only ``(L, n_bins)`` 0/1 level-to-bin indicator, built on
-        first use (:func:`bin_masses`)."""
+        first use (:func:`outcome_probabilities`)."""
         out = (self.level_bin[:, None] == np.arange(self.n_bins)).astype(float)
         out.setflags(write=False)
         return out
-
-
-def _check_truncation(pop: PopulationVector, partition: ProjectorPartition) -> None:
-    if pop.truncation != partition.truncation:
-        raise ValueError(
-            f"population truncation {pop.truncation} != partition truncation {partition.truncation}"
-        )
 
 
 def _check_bin(partition: ProjectorPartition, j: int) -> None:
@@ -94,37 +86,23 @@ def _check_bin(partition: ProjectorPartition, j: int) -> None:
         raise ValueError(f"bin index {j!r} outside 0..{partition.n_bins - 1}")
 
 
-def bin_masses(weights: np.ndarray, partition: ProjectorPartition) -> np.ndarray:
-    """Bin masses of the level ``weights``, by their product with the 0/1
-    level-to-bin indicator."""
-    return weights @ partition.indicator
-
-
-def collapse(weights: np.ndarray, partition: ProjectorPartition, j: int, masses: np.ndarray) -> np.ndarray:
-    """Lüders update of the level ``weights``, of bin masses ``masses``, on
-    observing bin ``j``, of non-zero mass: weights with no other bin of
-    non-zero mass come back unchanged, bit for bit (repeating the measurement
-    cannot disturb them); any others are zeroed outside the bin and divided
-    by its mass."""
-    settled = np.count_nonzero(masses) == 1
-    return weights * (partition.level_bin == j) / (1.0 if settled else masses[j])
-
-
 def outcome_probabilities(pop: PopulationVector, partition: ProjectorPartition) -> np.ndarray:
-    """Probability of each bin: the summed weight it covers (:func:`bin_masses`)."""
-    _check_truncation(pop, partition)
-    return bin_masses(pop.weights, partition)
+    """Probability of each bin: the summed weight it covers, by the product
+    of the level weights with the 0/1 level-to-bin indicator."""
+    if pop.truncation != partition.truncation:
+        raise ValueError(f"population truncation {pop.truncation} != partition truncation {partition.truncation}")
+    return pop.weights @ partition.indicator
 
 
 def luders_collapse(pop: PopulationVector, partition: ProjectorPartition, j: int) -> PopulationVector:
-    """State after observing bin ``j``, by :func:`collapse`; a state already
-    supported inside the bin is returned itself, and an outcome of zero
-    probability raises :class:`ZeroProbabilityError`."""
-    _check_truncation(pop, partition)
+    """State after observing bin ``j``: the weights zeroed outside the bin
+    and divided by its mass.  A state with no other bin of non-zero mass is
+    returned itself (repeating the measurement cannot disturb it), and an
+    outcome of zero probability raises :class:`ZeroProbabilityError`."""
+    masses = outcome_probabilities(pop, partition)
     _check_bin(partition, j)
-    masses = bin_masses(pop.weights, partition)
     if masses[j] <= 0.0:
         raise ZeroProbabilityError(f"outcome {j} has zero probability")
-    out = collapse(pop.weights, partition, j, masses)
-    # collapse changes any weights with mass outside the bin, and no others
-    return pop if np.array_equal(out, pop.weights) else PopulationVector(out)
+    if np.count_nonzero(masses) == 1:
+        return pop
+    return PopulationVector(pop.weights * (partition.level_bin == j) / masses[j])

@@ -6,7 +6,7 @@ Two independently built engines realize the same stochastic process:
 * the Lüders engine repeats (relax by Δt) → (sample outcome) → (collapse),
   i.e. the measurement-theoretic loop, using exact-chain propagation;
 * the Gillespie engine simulates the continuous-time jump process directly
-  and reads out the bin of the occupied level at the sampling times.
+  and reads out the occupied level at the sampling times.
 
 Their statistical agreement is itself one of the package's deliverable
 checks.  Reproducibility contract: trajectory i of an ensemble draws from a
@@ -68,7 +68,7 @@ class Ensemble:
     readouts from flat readout ``starts[i] = r * steps + step`` of row r.  Both
     are read-only, and copies of the arrays a caller gives (:func:`run_ensemble`
     hands its own runs over uncopied, by :meth:`_of_runs`).  Under any
-    partition the bins are the engines' fine records read through
+    partition the bins are the engines' levels read through
     ``partition.level_bin``."""
 
     schedule: MeasurementSchedule
@@ -143,14 +143,15 @@ def _outcome_dtype(n_bins: int) -> type:
     return np.int16 if n_bins <= np.iinfo(np.int16).max + 1 else np.int32
 
 
-def _read_out(times, bins: np.ndarray, path_lengths, dt: float, steps: int):
+def _read_out(times, levels: np.ndarray, path_lengths, dt: float, steps: int):
     """Runs of paths sampled at ``dt * (i + 1)``, ``i < steps``, one row each.
 
-    Path r is the next ``path_lengths[r]`` entries of ``times`` and ``bins``:
-    its initial bin at time 0.0, then its bin after each jump at the jump's
-    time.  An entry's run starts at its first sample number, the least k with
-    ``dt * k >= t`` (0 at time 0.0): ``ceil(t / dt)`` corrected once each way
-    with that same float product (enough while ``t / dt < 2**51``).
+    Path r is the next ``path_lengths[r]`` entries of ``times`` and
+    ``levels``: its initial level at time 0.0, then its level after each
+    jump at the jump's time.  An entry's run starts at its first sample
+    number, the least k with ``dt * k >= t`` (0 at time 0.0): ``ceil(t /
+    dt)`` corrected once each way with that same float product (enough
+    while ``t / dt < 2**51``).
     :func:`_runs` drops the runs of jumps past the last sample and of jumps
     followed by another before a sample.
     """
@@ -160,7 +161,7 @@ def _read_out(times, bins: np.ndarray, path_lengths, dt: float, steps: int):
     k -= dt * (k - 1) >= times
     starts = np.repeat(np.arange(len(path_lengths)) * steps, path_lengths)  # each entry's row * steps
     starts += np.clip(k - 1, 0, steps, out=k).astype(np.intp)  # in place: one fewer float an entry
-    return starts, bins
+    return starts, levels
 
 
 def _window_width(n_rows: int, leave_rate: float) -> int:
@@ -315,41 +316,23 @@ def _fine_row(tmat: np.ndarray, pop: PopulationVector, chunks) -> tuple[np.ndarr
     return np.asarray(run_starts), np.asarray(run_levels)  # views of the buffers
 
 
-def _luders_block(tmat: np.ndarray, pop: PopulationVector, partition: ProjectorPartition, rows: int, steps: int,
-                  chunks):
-    """Runs of one block of ``rows`` rows of ``steps`` readouts of the
-    measurement loop, its uniforms as the ``chunks`` of :func:`streams._blocks`.
-    The loop runs on levels under every partition: a block of many rows is
-    scanned in windows (:func:`_fine_outcomes`) and one row walked from leave
-    to leave (:func:`_fine_row`).  Readouts keep the state diagonal, where the
-    Lüders collapse onto a bin is Bayes' rule on the level, so a coarse
-    record has the law of the fine one read through ``partition.level_bin``:
-    a coarse block maps its run levels to their bins, and :func:`_runs`
-    joins the runs that fall in one bin."""
-    starts, levels = _fine_row(tmat, pop, chunks) if rows == 1 else _fine_outcomes(tmat, pop, *chunks)
-    if partition.is_fine:
-        return starts, levels
-    bins = partition.level_bin.astype(_outcome_dtype(partition.n_bins))[levels]
-    return _runs(starts, bins, rows, steps)
-
-
-def _jump_block(ups, downs, partition: ProjectorPartition, schedule: MeasurementSchedule, level: int, rngs):
-    """Maximal runs (:func:`_runs`) of one block of jump-process paths from
-    ``level``, a row per Generator of ``rngs``, at rates ``ups[n]`` up and
-    ``downs[n]`` down from level n (a level with no rate out is absorbing).
-    Per jump a stream gives one exponential holding time, then (unless the
-    jump falls past the horizon) one uniform for its direction.  The block's
-    paths are drawn into typed buffers shared by the block, each its initial
-    bin at time 0.0 first, then read out at once (:func:`_read_out`) and
-    joined into runs.
+def _jump_block(ups, downs, level: int, dt: float, steps: int, rngs):
+    """Runs (:func:`_read_out`) of the levels of one block of jump-process
+    paths from ``level``, read out at ``dt``, ..., ``steps * dt``, a row per
+    Generator of ``rngs``, at rates ``ups[n]`` up and ``downs[n]`` down from
+    level n (a level with no rate out is absorbing).  Per jump a stream gives
+    one exponential holding time, then (unless the jump falls past the
+    horizon) one uniform for its direction.  The block's paths are drawn
+    into typed buffers shared by the block, each its initial level at time
+    0.0 first, then read out at once.
     """
-    horizon, level_bin = schedule.horizon, partition.level_bin.tolist()
-    times, bins, path_lengths = array("d"), array(np.dtype(_outcome_dtype(partition.n_bins)).char), []
+    horizon = steps * dt
+    times, levels, path_lengths = array("d"), array(np.dtype(_outcome_dtype(len(ups))).char), []
     for rng in rngs:
         t, k, first = 0.0, level, len(times)
         while True:
             times.append(t)
-            bins.append(level_bin[k])
+            levels.append(k)
             total = ups[k] + downs[k]
             if total == 0.0:
                 break
@@ -358,8 +341,7 @@ def _jump_block(ups, downs, partition: ProjectorPartition, schedule: Measurement
                 break
             k += 1 if rng.random() < ups[k] / total else -1
         path_lengths.append(len(times) - first)
-    runs = _read_out(times, np.asarray(bins), path_lengths, schedule.dt, schedule.steps)
-    return _runs(*runs, len(path_lengths), schedule.steps)
+    return _read_out(times, np.asarray(levels), path_lengths, dt, steps)
 
 
 def run_ensemble(
@@ -379,13 +361,14 @@ def run_ensemble(
     depends on another's, so the ensemble split at any ``first_index`` and
     concatenated is bit-identical to the unsplit run.  Both engines run the
     blocks of :func:`streams._blocks`, one at a time, so their working
-    memory is bounded by one block, not by the ensemble or the row: the
-    Lüders engine draws each block's uniforms (:func:`_luders_block`), the
-    jump engine its block's paths (:func:`_jump_block`), and each block is
-    read out and joined into runs before the next is drawn.  Both engines
-    take any partition, and both read a coarse record as the fine one, the
-    levels, through ``partition.level_bin``.  The runs are handed over to
-    the :class:`Ensemble` uncopied.
+    memory is bounded by one block, not by the ensemble or the row.  Under
+    every partition the Lüders engine samples a block's levels
+    (:func:`_fine_outcomes`, :func:`_fine_row`) and the jump engine its
+    paths' (:func:`_jump_block`); readouts keep the state diagonal, so a
+    coarse record is the fine one read through ``partition.level_bin``, and
+    here alone each block's levels are read through it and joined into runs
+    before the next block is drawn.  The runs go to the :class:`Ensemble`
+    uncopied.
     """
     check_count("n_traj", n_traj)
     if engine not in ENGINES:
@@ -406,12 +389,18 @@ def run_ensemble(
     else:
         tmat = transition_matrix(gen, schedule.dt)
     steps, runs = schedule.steps, []
-    for start, rows, chunks in streams._blocks(master_seed, first_index, n_traj, steps):
+    level_bin = None if partition.is_fine else partition.level_bin.astype(_outcome_dtype(partition.n_bins))
+
+    def block_runs(start, rows, chunks):  # a call, so the block's levels are freed before the next is drawn
         if engine == "gillespie":
-            starts, bins = _jump_block(ups, downs, partition, schedule, level,
-                                       streams._streams(master_seed, first_index + start, rows))
+            rngs = streams._streams(master_seed, first_index + start, rows)
+            starts, levels = _jump_block(ups, downs, level, schedule.dt, steps, rngs)
         else:
-            starts, bins = _luders_block(tmat, pop, partition, rows, steps, chunks)
+            starts, levels = _fine_row(tmat, pop, chunks) if rows == 1 else _fine_outcomes(tmat, pop, *chunks)
+        return _runs(starts, levels if level_bin is None else level_bin[levels], rows, steps)
+
+    for start, rows, chunks in streams._blocks(master_seed, first_index, n_traj, steps):
+        starts, bins = block_runs(start, rows, chunks)
         starts += start * steps
         runs.append((starts, bins))
     starts, bins = map(np.concatenate, zip(*runs)) if len(runs) > 1 else runs[0]

@@ -114,6 +114,14 @@ class TestPopulationVector:
         with pytest.raises(ValueError):
             PopulationVector(np.array([1.1, -0.1]))
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.nan, 0.5, 0.5], [0.5, 0.5, np.nan]],
+                             ids=["nan-first-of-two", "nan-first-of-three", "nan-last"])
+    def test_rejects_non_finite_weights(self, weights):
+        # NaN passes both the sign and the sum test; an ensemble from
+        # [nan, 0.5, 0.5] read out level 0 at every readout
+        with pytest.raises(ValueError, match="finite"):
+            PopulationVector(np.array(weights))
+
     def test_weights_are_frozen(self):
         pop = pure_level(0, 2)
         with pytest.raises(ValueError):
@@ -197,3 +205,9 @@ class TestGenerator:
             BirthDeathGenerator(np.array([0.1, 0.2]), np.array([1.1]))
         with pytest.raises(ValueError):
             BirthDeathGenerator(np.array([-0.1]), np.array([1.1]))
+
+    @pytest.mark.parametrize("up, down", [([np.nan], [1.0]), ([0.1], [np.nan]), ([np.inf], [1.0])],
+                             ids=["nan-up", "nan-down", "inf-up"])
+    def test_rejects_non_finite_rates(self, up, down):
+        with pytest.raises(ValueError, match="finite"):
+            BirthDeathGenerator(np.array(up), np.array(down))

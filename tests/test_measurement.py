@@ -8,8 +8,6 @@ from qndsim.dynamics import transition_matrix
 from qndsim.measurement import (
     ProjectorPartition,
     ZeroProbabilityError,
-    bin_masses,
-    collapse,
     luders_collapse,
     outcome_probabilities,
 )
@@ -18,22 +16,20 @@ from qndsim.protocol import MeasurementSchedule, run_ensemble
 from oracles import sample_outcome
 
 
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 def pop(*weights):
     return PopulationVector(np.array(weights, dtype=float))
 
 
 @st.composite
-def populations_and_partitions(draw):
+def populations_and_partitions(draw, relaxed=False):
+    # relaxed: a pure level relaxed at zero temperature, which is supported
+    # on the levels at and below it, so bins can hold all of its weight
     trunc = draw(st.integers(1, 10))
-    raw = draw(
-        st.lists(st.floats(1e-3, 1.0), min_size=trunc + 1, max_size=trunc + 1)
-    )
-    w = np.array(raw)
+    if relaxed:
+        tmat = transition_matrix(build_generator(BathParams(0.0, 1.1), trunc), draw(st.sampled_from([0.01, 1.0])))
+        w = tmat[:, draw(st.integers(0, trunc))]
+    else:
+        w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=trunc + 1, max_size=trunc + 1)))
     levels = draw(st.permutations(list(range(trunc + 1))))
     n_bins = draw(st.integers(1, trunc + 1))
     cuts = sorted(draw(st.sets(st.integers(1, trunc), min_size=n_bins - 1, max_size=n_bins - 1)))
@@ -149,62 +145,16 @@ class TestLudersCollapse:
                 mixture += p * luders_collapse(state, part, j).weights
         assert np.abs(mixture - state.weights).max() <= 1e-12
 
-    @given(populations_and_partitions())
-    @settings(max_examples=100, derandomize=True)
+    @given(st.one_of(populations_and_partitions(), populations_and_partitions(relaxed=True)))
+    @settings(max_examples=200, derandomize=True)
     def test_no_destruction_iff_supported_inside(self, case):
         state, part = case
-        for j in range(part.n_bins):
+        for j in np.flatnonzero(outcome_probabilities(state, part)).tolist():
             inside = np.zeros(state.weights.size, dtype=bool)
             inside[list(part.bins[j])] = True
             supported_inside = not state.weights[~inside].any()
             unchanged = luders_collapse(state, part, j) is state
             assert unchanged == supported_inside
-
-
-class TestStackedUpdate:
-    """``bin_masses`` and ``collapse``, the update behind
-    ``outcome_probabilities`` and ``luders_collapse``, one row of weights at
-    a time."""
-
-    @given(populations_and_partitions(), st.integers(0, 10))
-    @settings(max_examples=100, derandomize=True)
-    def test_each_row_is_the_one_row_update(self, case, j_raw):
-        # each row, observing its bin, gives bit for bit what
-        # outcome_probabilities and luders_collapse give it; the last row is
-        # already supported inside its bin and comes back unchanged
-        state, part = case
-        j = j_raw % part.n_bins
-        inside = luders_collapse(state, part, j)
-        for p, k in ((state, j), (state, (j + 1) % part.n_bins), (inside, j)):
-            masses = bin_masses(p.weights, part)
-            assert_same_bits(masses, outcome_probabilities(p, part))
-            assert_same_bits(collapse(p.weights, part, k, masses), luders_collapse(p, part, k).weights)
-
-    def test_collapse_matches_the_weight_test_it_replaced(self):
-        # collapse finds settled weights by their one bin of non-zero mass;
-        # the update it replaced compared the kept weights with the weights.
-        # Rows of random weights with zeros, and pure levels relaxed at zero
-        # temperature (supported on the levels below them), over random
-        # partitions, each observing a bin of non-zero mass.
-        def weight_test(weights, partition, outcome, mass):
-            kept = weights * (partition.level_bin == outcome)
-            return kept / (1.0 if (kept == weights).all() else mass)
-
-        rng = np.random.default_rng(2024)
-        settled = 0
-        for _ in range(300):
-            trunc = int(rng.integers(1, 9))
-            cuts = np.sort(rng.choice(np.arange(1, trunc + 1), rng.integers(0, trunc + 1), replace=False))
-            part = ProjectorPartition(trunc, tuple(tuple(b) for b in np.split(rng.permutation(trunc + 1), cuts)))
-            tmat = transition_matrix(build_generator(BathParams(0.0, 1.1), trunc), float(rng.choice([0.01, 1.0])))
-            weights = np.vstack([rng.random((6, trunc + 1)) * (rng.random((6, trunc + 1)) < 0.5), tmat.T])
-            for row in weights[weights.any(axis=1)]:
-                masses = bin_masses(row, part)
-                outcome = int(rng.choice(np.flatnonzero(masses)))
-                old = weight_test(row, part, outcome, masses[outcome])
-                assert_same_bits(collapse(row, part, outcome, masses), old)
-                settled += np.array_equal(old, row)
-        assert settled > 300
 
 
 class TestSampleOutcome:

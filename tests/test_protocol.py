@@ -672,24 +672,25 @@ class TestGillespieEngine:
     @pytest.mark.parametrize("partition", [ProjectorPartition.fine(4), coarse_partition(4)], ids=["fine", "coarse"])
     def test_blocks_of_paths_match_the_reference_record(self, monkeypatch, partition):
         # 10 rows in blocks of 3, 3, 3 and 1 across trajectory index 2**32, where
-        # a seed's entropy grows a word; every block comes back as maximal runs
+        # a seed's entropy grows a word; every block's levels, read through
+        # level_bin, come back as maximal runs.  The last call of _runs is the
+        # Ensemble's check of all 10 rows.
         params, first_index = bath_from_gamma(1.0, 0.5), 2**32 - 5
         sched = MeasurementSchedule(0.1, 50, partition)
-        jump_block, block_rows = protocol._jump_block, []
+        runs, block_rows = protocol._runs, []
 
-        def checked(*args):
-            starts, bins = jump_block(*args)
-            rows = np.count_nonzero(starts % sched.steps == 0)
-            again = protocol._runs(starts, bins, rows, sched.steps)
+        def checked(starts, bins, rows, steps):
+            starts, bins = runs(starts, bins, rows, steps)
+            again = runs(starts, bins, rows, steps)
             assert np.array_equal(again[0], starts) and np.array_equal(again[1], bins)
             assert bins.dtype == np.int16
             block_rows.append(rows)
             return starts, bins
 
-        monkeypatch.setattr(protocol, "_jump_block", checked)
+        monkeypatch.setattr(protocol, "_runs", checked)
         monkeypatch.setattr(streams, "BLOCK_ROWS", 3)
         ens = run_ensemble(params, sched, 1, 4, 10, 3, "gillespie", first_index=first_index)
-        assert block_rows == [3, 3, 3, 1]
+        assert block_rows == [3, 3, 3, 1, 10]
         for i, row in enumerate(ens.outcomes):
             reference = reference_jump_record(params, sched, 1, 4, (3, first_index + i))
             assert np.array_equal(row, partition.level_bin[reference])
@@ -1120,34 +1121,36 @@ class TestEnsemble:
         assert peak < 2 * 8 * streams.BLOCK_ROWS * streams.VECTOR_STEPS
 
     def test_jump_blocks_run_in_bounded_memory(self, monkeypatch):
-        # a busy jump ensemble (about 1.1 jumps a readout) in 16 blocks.  An
-        # entry is a jump or a path's initial level at time 0.0, as _read_out
-        # gets them.  A block's entries take about 35 bytes each while they
-        # are drawn and read out (a float and an int16 bin in typed buffers,
-        # then the read-out arrays), and the block is joined into runs (about
-        # 0.4 an entry, 10 bytes each) before the next is drawn.  So the peak,
-        # about 8 bytes an entry, is one block's 1/16 of the former plus the
-        # ensemble's runs, joined once and then checked and kept as they are.
-        # Entries drawn into lists of Python floats and ints peaked at 19 to
-        # 26; blocks that kept their 16-byte entries until the join at 57 to 64.
-        entries = []
+        # a busy jump ensemble (about 1.1 jumps a readout) in 16 blocks, on
+        # the fine partition and on {0} | {1..40}.  An entry is a jump or a
+        # path's initial level at time 0.0, as _read_out gets them.  A block's
+        # entries take about 35 bytes each while they are drawn and read out
+        # (a float and an int16 level in typed buffers, then the read-out
+        # arrays, and on the coarse partition their bins), and the block is
+        # joined into runs (about 0.4 an entry on the fine partition, 10 bytes
+        # each) before the next is drawn.  So the peak, about 8 bytes an
+        # entry, is one block's 1/16 of the former plus the ensemble's runs,
+        # joined once and then checked and kept as they are.  Entries drawn
+        # into lists of Python floats and ints peaked at 19 to 26; blocks that
+        # kept their 16-byte entries until the join at 57 to 64.
         read_out = protocol._read_out
 
-        def recorder(times, bins, *args):
-            entries.append(bins.size)
-            return read_out(times, bins, *args)
+        def recorder(times, levels, *args):
+            entries.append(levels.size)
+            return read_out(times, levels, *args)
 
         monkeypatch.setattr(protocol, "_read_out", recorder)
         monkeypatch.setattr(streams, "BLOCK_ROWS", 64)
-        sched = MeasurementSchedule(0.1, 100, ProjectorPartition.fine(40))
-        tracemalloc.start()
-        try:
-            run_ensemble(bath_from_gamma(1.0, 2.0), sched, 0, 40, 1024, 0, engine="gillespie")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sum(entries) > 100_000 and peak < 16 * sum(entries)
-        assert len(entries) == 16
+        for partition in (ProjectorPartition.fine(40), coarse_partition(40)):
+            entries, sched = [], MeasurementSchedule(0.1, 100, partition)
+            tracemalloc.start()
+            try:
+                run_ensemble(bath_from_gamma(1.0, 2.0), sched, 0, 40, 1024, 0, engine="gillespie")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(entries) > 100_000 and peak < 16 * sum(entries)
+            assert len(entries) == 16
 
     def test_coarse_row_in_chunks_matches_its_block(self, monkeypatch):
         # rows of 1000 steps in one block, then each alone in chunks of 384
